@@ -5,8 +5,12 @@ and von Neumann entropy.  All containers are immutable after construction
 and validated against the shared tolerance record; every operation is a
 pure function, so instances are safe to share between threads.
 
-Dimensions are desk scale (a few thousand at most), so everything is dense
-complex128.  No sparse or tensor-network representations.
+Dimensions are desk scale (a few thousand at most), so these containers
+are dense complex128, with no sparse or tensor-network representations.
+Where the physics is structured the dense form is not used: the engine's
+thermal and measured states (`envstat.szilard.engine.EngineState`) are
+stored as per-level weights plus per-doublet coherences, cost O(n), and
+build a dense matrix only on request.
 """
 
 from __future__ import annotations
@@ -170,10 +174,6 @@ class SchmidtForm:
     def sys_basis(self) -> list[StateVector]:
         return [StateVector(self.sys_vecs[:, k], self.tols) for k in range(self.rank)]
 
-    @property
-    def env_basis(self) -> list[StateVector]:
-        return [StateVector(self.env_vecs[:, k], self.tols) for k in range(self.rank)]
-
     def branch_amplitudes(self) -> np.ndarray:
         """Complex weight of each branch: coeffs * exp(i*phases)."""
         return self.coeffs * np.exp(1j * self.phases)
@@ -299,6 +299,9 @@ def partial_trace_sys(state: BipartitePureState) -> DensityOperator:
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """-sum lambda ln lambda in nats, eigenvalues below 1e-14 dropped.
+
+    Any state with an `eigenvalues()` method will do, such as the engine's
+    structured states, whose eigenvalues are closed-form.
 
     Slightly negative eigenvalues within the positivity tolerance are
     clamped to zero (more negative ones are rejected by the constructor).

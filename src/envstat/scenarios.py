@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, envariance as env, equilibrium as eq, hilbert as hb
-from .errors import ConfigError, EnvstatError
+from .errors import ConfigError
 from .report import DataTable, RunReport
 from .szilard import (
     EngineConfig,
@@ -550,9 +550,6 @@ SCENARIOS = {
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
     start = time.perf_counter()
-    try:
-        report = SCENARIOS[cfg.scenario](cfg)
-    except EnvstatError:
-        raise
+    report = SCENARIOS[cfg.scenario](cfg)
     report.wall_time_s = time.perf_counter() - start
     return report

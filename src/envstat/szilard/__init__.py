@@ -2,6 +2,7 @@
 
 from .config import EngineConfig
 from .engine import (
+    EngineState,
     MeasurementOutcome,
     barrier_thermal_state,
     measure_side,
@@ -39,6 +40,7 @@ __all__ = [
     "fd_pair_energies",
     "pair_wavefunctions",
     "lr_block_map",
+    "EngineState",
     "MeasurementOutcome",
     "thermal_state",
     "z_boltzmann_gas",

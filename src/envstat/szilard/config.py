@@ -13,7 +13,7 @@ class EngineConfig:
     Natural units (hbar = kB = 1, m = 1/2, L = pi) make the level unit
     epsilon equal 1, so every number is hand-checkable.  barrier_height may
     be math.inf, which selects the exact two-well limit (zero tunneling
-    splitting).  When n_trunc is omitted it is sized so that the Boltzmann
+    splitting); every other parameter must be finite and positive.  When n_trunc is omitted it is sized so that the Boltzmann
     tail beyond the last level is below 1e-12 and the measured pair count
     satisfies N^2 * eps * beta >= 20.
     """
@@ -29,10 +29,14 @@ class EngineConfig:
 
     def __post_init__(self):
         for name in ("mass", "box_length", "barrier_width", "temperature", "hbar", "kb"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.barrier_height <= 0:
-            raise ValueError("barrier_height must be positive (math.inf allowed)")
+        if not self.barrier_height > 0:  # also rejects NaN
+            raise ValueError(
+                f"barrier_height must be positive (math.inf allowed), got {self.barrier_height}")
         if self.barrier_width / self.box_length > 0.05:
             raise ValueError("thin-barrier regime requires d/L <= 0.05")
         if self.n_trunc is None:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import RegimeError
 from ..tolerances import DEFAULT_TOLS, Tolerances
 from .config import EngineConfig
 from .engine import (
@@ -123,6 +124,10 @@ def free_energy_ledger(cfg: EngineConfig,
 
     # barrier insertion: isothermal and quasistatic, so W = dA and Q = T dS
     split = split_spectrum(cfg, mode="formula")
+    if split.count == 0:
+        raise RegimeError(
+            f"barrier height {cfg.barrier_height:g} lies below every doublet "
+            "center: no level tunnels, so the split partition sum is empty")
     z1 = split_partition_function(split, beta)
     e_c, d_c = split.centers(), split.deltas()
     w_plus = np.exp(-beta * (e_c + d_c))
@@ -140,7 +145,9 @@ def free_energy_ledger(cfg: EngineConfig,
     pop_l = np.exp(-beta * e_c) * np.cosh(beta * d_c) / z_l
     u2 = float(np.sum(e_c * pop_l))
     a2 = -kt * math.log(z_l)
-    s2 = float(-np.sum(pop_l * np.log(pop_l)))
+    # populations that underflow to 0 contribute 0 ln 0 = 0
+    log_pop = np.log(pop_l, out=np.zeros_like(pop_l), where=pop_l > 0.0)
+    s2 = float(-np.sum(pop_l * log_pop))
     # projection exchanges no heat; any energy shift is apparatus work
     measure = LedgerEntry("measure", a2, s2, u2, u2 - u1, 0.0)
 

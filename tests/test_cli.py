@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from envstat.cli import main
 
 
@@ -51,6 +53,21 @@ def test_negative_length_is_config_error(capsys, tmp_path):
     assert code == 2
     assert "config error" in err
     assert not out_path.exists()  # no partial output file
+
+
+@pytest.mark.parametrize("flags", [
+    ["--T", "nan"],
+    ["--U", "nan"],
+    ["--T", "inf"],
+    ["--U", "1e-3"],  # every doublet sits above the barrier
+])
+def test_invalid_engine_input_fails_closed(capsys, tmp_path, flags):
+    out_path = tmp_path / "never.json"
+    code, out, err = run_cli(["quantum-cycle", *flags, "--out", str(out_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert not out_path.exists()
 
 
 def test_unknown_config_field_rejected(capsys, tmp_path):

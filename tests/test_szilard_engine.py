@@ -1,14 +1,22 @@
 """Thermal states, measurement, and the cycle ledgers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from envstat.errors import LeakyProjectorError, TruncationError
-from envstat.hilbert import von_neumann_entropy
+from envstat.errors import (
+    DimensionMismatchError,
+    InvalidStateError,
+    LeakyProjectorError,
+    RegimeError,
+    TruncationError,
+)
+from envstat.hilbert import DensityOperator, von_neumann_entropy
 from envstat.szilard import (
     EngineConfig,
+    EngineState,
     SplitPair,
     SplitSpectrum,
     BoxSpectrum,
@@ -172,6 +180,97 @@ def test_projector_rank_condition_enforced():
 
 
 # ---------------------------------------------------------------------------
+# structured states against a dense oracle
+# ---------------------------------------------------------------------------
+
+def assert_rel_close(actual, expected, rel=1e-12):
+    """Max-norm agreement relative to the largest entry of the oracle."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert np.max(np.abs(actual - expected)) <= rel * np.max(np.abs(expected))
+
+
+def dense_oracle(matrix: np.ndarray):
+    """eigvalsh-validated DensityOperator plus its spectrum and entropy.
+
+    The spectrum comes from a real eigvalsh (the states are real
+    symmetric); the entropy uses the same 1e-14 cut as von_neumann_entropy.
+    """
+    rho = DensityOperator(matrix)
+    lam = np.linalg.eigvalsh(rho.matrix.real)
+    kept = lam[lam >= 1e-14]
+    return rho, lam, float(-np.sum(kept * np.log(kept)))
+
+
+def dense_projection(rho: DensityOperator, side: str) -> np.ndarray:
+    """P rho P with an explicit projector matrix onto one side."""
+    proj = np.zeros((rho.dim, rho.dim))
+    idx = np.arange(0 if side == "L" else 1, rho.dim, 2)
+    proj[idx, idx] = 1.0
+    return proj @ rho.matrix.real @ proj
+
+
+@pytest.fixture(scope="module", params=[
+    (1e-3, math.inf), (1e-4, math.inf), (1e-3, 2000.0), (1e-4, 2000.0)],
+    ids=["eb1e-3-Uinf", "eb1e-4-Uinf", "eb1e-3-U2000", "eb1e-4-U2000"])
+def engine_states(request):
+    eps_beta, barrier = request.param
+    cfg = EngineConfig.natural(eps_beta=eps_beta, barrier_height=barrier)
+    split = split_spectrum(cfg, "formula")
+    rho_box, _ = thermal_state(box_spectrum(cfg), cfg.temperature)
+    return split, {
+        "box": rho_box,
+        "energy": barrier_thermal_state(split, cfg.temperature, "energy"),
+        "LR": barrier_thermal_state(split, cfg.temperature, "LR"),
+    }
+
+
+def test_structured_states_match_dense_oracle(engine_states):
+    split, states = engine_states
+    for basis, rho in states.items():
+        assert rho.dim <= 896
+        dense, lam, entropy = dense_oracle(rho.matrix)
+        assert_rel_close(rho.eigenvalues(), lam)
+        assert von_neumann_entropy(rho) == pytest.approx(entropy, rel=1e-12)
+        if basis == "box":
+            continue
+        # the which-side measurement against explicit projectors
+        for outcome in measure_side(rho):
+            projected = dense_projection(dense, outcome.side)
+            p = float(np.trace(projected))
+            post, post_lam, post_entropy = dense_oracle(projected / p)
+            assert outcome.probability == pytest.approx(p, rel=1e-12)
+            assert post.distance(outcome.post_state) <= 1e-12 * np.max(post_lam)
+            assert_rel_close(outcome.post_state.eigenvalues(), post_lam)
+            assert outcome.entropy() == pytest.approx(post_entropy, rel=1e-12)
+
+
+def test_lr_state_is_rotated_energy_state(engine_states):
+    split, states = engine_states
+    b = lr_block_map(split.count)
+    assert_rel_close(states["LR"].matrix, b.T @ states["energy"].matrix @ b)
+    # each coherence is w sinh(beta Delta): nonzero exactly where Delta is
+    assert np.array_equal(states["LR"].coherences > 0, split.deltas() > 0)
+
+
+def test_engine_state_rejects_invalid_structure():
+    with pytest.raises(InvalidStateError, match="trace"):
+        EngineState(np.array([0.5, 0.4]))
+    with pytest.raises(InvalidStateError, match="finite"):
+        EngineState(np.array([np.nan, 1.0]))
+    with pytest.raises(InvalidStateError, match="eigenvalue"):
+        EngineState(np.array([0.5, 0.5]), np.array([0.6]))  # 0.5 - 0.6 < 0
+    with pytest.raises(DimensionMismatchError):
+        EngineState(np.array([0.25, 0.25, 0.5]), np.array([0.1, 0.1]))
+
+
+def test_engine_state_block_eigenvalues_closed_form():
+    rho = EngineState(np.array([0.3, 0.3, 0.4]), np.array([0.1]))
+    assert np.allclose(rho.eigenvalues(), [0.2, 0.4, 0.4], atol=1e-15)
+    assert np.allclose(np.linalg.eigvalsh(rho.matrix), rho.eigenvalues(), atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
 # quantum cycle ledger
 # ---------------------------------------------------------------------------
 
@@ -227,6 +326,47 @@ def test_ledger_entropies_match_operator_entropies(ledger):
                                                             abs=1e-8)
     assert ledger.entry("insert-barrier").entropy == pytest.approx(
         von_neumann_entropy(rho), abs=1e-8)
+
+
+def test_ledger_entropy_finite_when_populations_underflow():
+    # 448 doublets at kT = 1000: the top populations underflow to exactly 0
+    cfg = EngineConfig.natural(eps_beta=1e-3, n_trunc=896)
+    split = split_spectrum(cfg, "formula")
+    assert math.exp(-cfg.beta * split.pairs[-1].center) == 0.0
+    led = free_energy_ledger(cfg)
+    assert math.isfinite(led.entry("measure").entropy)
+    assert led.checks.measurement_entropy_drop == pytest.approx(math.log(2.0), abs=1e-6)
+
+
+def test_ledger_rejects_barrier_below_every_doublet():
+    with pytest.raises(RegimeError, match="below every doublet"):
+        free_energy_ledger(EngineConfig.natural(barrier_height=1e-3))
+
+
+def test_ledger_memory_is_linear_in_levels():
+    cfg = EngineConfig.natural(eps_beta=5e-6)
+    assert cfg.n_trunc == 4000
+    tracemalloc.start()
+    try:
+        led = free_energy_ledger(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one dense 4000 x 4000 complex matrix alone would be 244 MiB
+    assert peak < 16 * 2**20
+    assert abs(led.p_left - 0.5) < 1e-10
+
+
+@pytest.mark.parametrize("field,value", [
+    ("temperature", math.nan), ("temperature", math.inf),
+    ("barrier_height", math.nan), ("barrier_height", -math.inf),
+    ("mass", math.inf), ("kb", math.nan)])
+def test_config_rejects_non_finite_values(field, value):
+    fields = dict(mass=0.5, box_length=math.pi, barrier_width=0.01 * math.pi,
+                  barrier_height=math.inf, temperature=1000.0)
+    fields[field] = value
+    with pytest.raises(ValueError, match=field):
+        EngineConfig(**fields)
 
 
 def test_ledger_out_of_regime_still_produced():

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
+import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import ConfigError
 
@@ -118,8 +119,69 @@ class RunReport:
         return out
 
 
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _emit(value, depth: int, out: list) -> None:
+    """Append the JSON text of value, nested depth levels deep, to out."""
+    if isinstance(value, str):
+        out.append(_json_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_json_float(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = "\n" + "  " * (depth + 1)
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _emit(item, depth + 1, out)
+            sep = "," + inner
+        out.append("\n" + "  " * depth + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = "\n" + "  " * (depth + 1)
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            out.append(sep)
+            out.append(_json_str(key))
+            out.append(": ")
+            _emit(item, depth + 1, out)
+            sep = "," + inner
+        out.append("\n" + "  " * depth + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def render_json(report: RunReport) -> str:
-    return json.dumps(report.to_dict(), indent=2, allow_nan=True) + "\n"
+    """The bytes of json.dumps(report.to_dict(), indent=2, allow_nan=True)
+    plus a newline.  The stdlib encoder builds a fresh set of closures on
+    every indented call, which leaves a reference cycle for the collector;
+    this emitter leaves none."""
+    out: list[str] = []
+    _emit(report.to_dict(), 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def render_csv(report: RunReport) -> str:

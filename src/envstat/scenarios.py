@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__, envariance as env, equilibrium as eq, hilbert as hb
-from .errors import ConfigError
+from .errors import ConfigError, RegimeError
 from .report import DataTable, RunReport
 from .szilard import (
+    BoxSpectrum,
     EngineConfig,
     box_spectrum,
     classical_ensemble_cycle,
@@ -353,41 +354,32 @@ def run_spectrum_split(cfg: ScenarioConfig) -> RunReport:
 
     numeric = split_spectrum(engine, "numeric", n_pairs=n_pairs)
     formula = split_spectrum(engine, "formula", n_pairs=n_pairs)
+    excluded = sorted(set(numeric.excluded) | set(formula.excluded))
+    if excluded:
+        raise RegimeError(
+            f"doublets {excluded[0]}..{excluded[-1]} of the {n_pairs} requested reach "
+            f"past the barrier top U = {engine.barrier_height:g}; lower n_pairs or raise U")
     fd = fd_pair_energies(engine, numeric.count)
 
-    exact = np.empty(2 * numeric.count)
-    for i, p in enumerate(numeric.pairs):
-        exact[2 * i], exact[2 * i + 1] = p.lower, p.upper
+    exact = numeric.energies
     fd_rel = float(np.max(np.abs(fd - exact) / exact))
     rep.check_le("fd_oracle_max_relative_difference", fd_rel, 1e-6,
                  "independent-oracle", "relative")
 
     # removing the barrier must reproduce the bare box; the width must be
     # small enough that the first-order shift U d |psi(0)|^2 is negligible
-    thin = EngineConfig(mass=engine.mass, box_length=engine.box_length,
-                        barrier_width=1e-12 * engine.box_length,
-                        barrier_height=engine.barrier_height,
-                        temperature=engine.temperature, hbar=engine.hbar,
-                        kb=engine.kb, n_trunc=engine.n_trunc)
-    thin_split = split_spectrum(thin, "numeric", n_pairs=n_pairs)
-    box = box_spectrum(engine)
-    box_e = box.energies[: 2 * n_pairs]
-    thin_e = np.empty(2 * thin_split.count)
-    for i, p in enumerate(thin_split.pairs):
-        thin_e[2 * i], thin_e[2 * i + 1] = p.lower, p.upper
+    thin = replace(engine, barrier_width=1e-12 * engine.box_length)
+    thin_e = split_spectrum(thin, "numeric", n_pairs=n_pairs).energies
+    box_e = BoxSpectrum(engine.epsilon, thin_e.size).energies
     rep.check_le("vanishing_barrier_max_relative_difference",
                  float(np.max(np.abs(thin_e - box_e) / box_e)), 1e-6,
                  "closed-form", "relative")
 
     # splitting dies away monotonically as the barrier grows
-    deltas_by_u = []
-    for factor in (1.0, 2.0, 4.0, 8.0):
-        tall = EngineConfig(mass=engine.mass, box_length=engine.box_length,
-                            barrier_width=engine.barrier_width,
-                            barrier_height=engine.barrier_height * factor,
-                            temperature=engine.temperature, hbar=engine.hbar,
-                            kb=engine.kb, n_trunc=engine.n_trunc)
-        deltas_by_u.append(split_spectrum(tall, "numeric", n_pairs=n_pairs).deltas())
+    deltas_by_u = [
+        split_spectrum(replace(engine, barrier_height=engine.barrier_height * factor),
+                       "numeric", n_pairs=n_pairs).deltas
+        for factor in (1.0, 2.0, 4.0, 8.0)]
     monotone = all(
         np.all(deltas_by_u[i + 1] < deltas_by_u[i])
         for i in range(len(deltas_by_u) - 1))
@@ -395,12 +387,14 @@ def run_spectrum_split(cfg: ScenarioConfig) -> RunReport:
                    "definition")
     rep.check_true("doublets_narrow_against_centers", not numeric.wide, "definition")
 
-    rows = []
-    for pn, pf in zip(numeric.pairs, formula.pairs):
-        rows.append((pn.k, pn.center, pf.delta, pn.delta, pf.delta / pn.delta))
+    rows = tuple(
+        (k, center, d_formula, d_numeric, d_formula / d_numeric)
+        for k, center, d_formula, d_numeric in zip(
+            numeric.k.tolist(), numeric.centers.tolist(),
+            formula.deltas.tolist(), numeric.deltas.tolist()))
     rep.table = DataTable(
         columns=("k", "E_k", "Delta_formula", "Delta_numeric", "ratio"),
-        rows=tuple(rows))
+        rows=rows)
     rep.data.update({
         "epsilon_prime": numeric.epsilon_prime,
         "fd_energies": fd.tolist(),

@@ -21,25 +21,19 @@ from .ledger import (
 )
 from .spectrum import (
     BoxSpectrum,
-    SplitPair,
     SplitSpectrum,
     box_spectrum,
     fd_pair_energies,
-    lr_block_map,
-    pair_wavefunctions,
     split_spectrum,
 )
 
 __all__ = [
     "EngineConfig",
     "BoxSpectrum",
-    "SplitPair",
     "SplitSpectrum",
     "box_spectrum",
     "split_spectrum",
     "fd_pair_energies",
-    "pair_wavefunctions",
-    "lr_block_map",
     "EngineState",
     "MeasurementOutcome",
     "thermal_state",

@@ -13,18 +13,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc
 
 from ..errors import (
     DimensionMismatchError,
     InvalidStateError,
     LeakyProjectorError,
+    RegimeError,
     TruncationError,
 )
 from ..hilbert import _freeze, von_neumann_entropy
 from ..tolerances import DEFAULT_TOLS, Tolerances
 from .config import EngineConfig
-from .spectrum import BoxSpectrum, SplitSpectrum
+from .spectrum import BoxSpectrum, SplitSpectrum, _libm
 
 __all__ = [
     "EngineState",
@@ -113,15 +113,18 @@ def thermal_state(spec: BoxSpectrum, temperature: float, kb: float = 1.0,
     The state is diagonal in the box basis: one Boltzmann weight per level.
     Z is the direct sum of the retained Boltzmann weights.  The dropped
     tail is bounded by the Gaussian integral past the last level; if the
-    bound is not below 1e-12 of Z the truncation is rejected.
+    bound is not below 1e-12 of Z the truncation is rejected.  A bath so
+    cold that every weight underflows to 0 is outside the regime.
     """
     beta = 1.0 / (kb * temperature)
-    energies = spec.energies
-    weights = np.exp(-beta * energies)
+    weights = np.exp(-beta * spec.energies)
     z = float(np.sum(weights))
-    n_last = spec.levels[-1][0]
+    if z == 0.0:
+        raise RegimeError(
+            f"partition sum underflows to 0 at beta*E_1 = {beta * spec.epsilon:.4g}; "
+            "the bath is too cold for double precision")
     t = beta * spec.epsilon
-    tail = 0.5 * math.sqrt(math.pi / t) * erfc(n_last * math.sqrt(t))
+    tail = 0.5 * math.sqrt(math.pi / t) * math.erfc(spec.n_max * math.sqrt(t))
     if tail / z >= 1e-12:
         raise TruncationError(
             f"Boltzmann tail bound {tail / z:.3e} of Z exceeds 1e-12; raise n_trunc")
@@ -135,16 +138,13 @@ def z_boltzmann_gas(eps_beta: float) -> float:
 
 def split_partition_function(split: SplitSpectrum, beta: float) -> float:
     """Z of the doublet spectrum: sum over 2 exp(-beta E_k) cosh(beta Delta_k)."""
-    e = split.centers()
-    d = split.deltas()
-    return float(np.sum(2.0 * np.exp(-beta * e) * np.cosh(beta * d)))
-
-
-def _libm(fn, x: np.ndarray) -> np.ndarray:
-    """fn applied by the C library, element by element.  numpy's SIMD
-    exp/cosh/sinh may differ from it in the last bit, and the L/R weights
-    set the reported measurement probabilities bit for bit."""
-    return np.fromiter(map(fn, x.tolist()), dtype=np.float64, count=x.size)
+    e, d = split.centers, split.deltas
+    z = float(np.sum(2.0 * np.exp(-beta * e) * np.cosh(beta * d)))
+    if z == 0.0 and split.count:
+        raise RegimeError(
+            f"split partition sum underflows to 0 at beta*E_1 = {beta * e[0]:.4g}; "
+            "the bath is too cold for double precision")
+    return z
 
 
 def barrier_thermal_state(split: SplitSpectrum, temperature: float,
@@ -161,8 +161,7 @@ def barrier_thermal_state(split: SplitSpectrum, temperature: float,
     is an O(n) EngineState.
     """
     beta = 1.0 / (kb * temperature)
-    e = split.centers()
-    d = split.deltas()
+    e, d = split.centers, split.deltas
     z = split_partition_function(split, beta)
     if basis == "energy":
         diag = np.empty(2 * split.count)

@@ -129,7 +129,7 @@ def free_energy_ledger(cfg: EngineConfig,
             f"barrier height {cfg.barrier_height:g} lies below every doublet "
             "center: no level tunnels, so the split partition sum is empty")
     z1 = split_partition_function(split, beta)
-    e_c, d_c = split.centers(), split.deltas()
+    e_c, d_c = split.centers, split.deltas
     w_plus = np.exp(-beta * (e_c + d_c))
     w_minus = np.exp(-beta * (e_c - d_c))
     u1 = float(np.sum((e_c + d_c) * w_plus + (e_c - d_c) * w_minus)) / z1

@@ -14,120 +14,117 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import bisect
 
 from ..errors import BracketingError, RegimeError
+from ..hilbert import _freeze
 from .config import EngineConfig
 
 __all__ = [
     "BoxSpectrum",
-    "SplitPair",
     "SplitSpectrum",
     "box_spectrum",
     "split_spectrum",
     "fd_pair_energies",
-    "pair_wavefunctions",
-    "lr_block_map",
 ]
 
 
 @dataclass(frozen=True)
 class BoxSpectrum:
-    """Levels of the bare box: (n, eps*n^2, wavefunction parity)."""
+    """Levels eps * n^2 of the bare box for n = 1..n_max."""
 
     epsilon: float
-    levels: tuple[tuple[int, float, str], ...]
+    n_max: int
 
     @property
     def energies(self) -> np.ndarray:
-        return np.asarray([e for _, e, _ in self.levels])
+        n = np.arange(1, self.n_max + 1)
+        return self.epsilon * n * n
 
 
-@dataclass(frozen=True)
-class SplitPair:
-    """One doublet: center energy and half-gap (E_k -+ Delta_k)."""
-
-    k: int
-    center: float
-    delta: float
-
-    @property
-    def lower(self) -> float:
-        return self.center - self.delta
-
-    @property
-    def upper(self) -> float:
-        return self.center + self.delta
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitSpectrum:
     """Doublet spectrum of the box with the barrier in place.
 
-    source records which route produced it ("formula" or "numeric").
-    excluded lists doublet indices above the tunneling regime (U <= E_k);
-    wide lists retained doublets whose splitting is not small against their
-    center (ratio >= 0.1), where the doublet picture degrades.
+    Doublet k has members centers - deltas and centers + deltas (the half
+    gap Delta_k); k, centers and deltas are read-only arrays of equal
+    length.  source records which route produced it ("formula" or
+    "numeric").  excluded lists doublet indices above the tunneling regime
+    (U <= E_k).
     """
 
     epsilon_prime: float
-    pairs: tuple[SplitPair, ...]
+    k: np.ndarray
+    centers: np.ndarray
+    deltas: np.ndarray
     source: str
     excluded: tuple[int, ...] = ()
-    wide: tuple[int, ...] = ()
 
     def __post_init__(self):
-        for p in self.pairs:
-            if p.delta < 0:
-                raise ValueError(f"doublet {p.k} has negative splitting")
-            if p.delta > 0 and p.lower >= p.upper:
-                raise ValueError(f"doublet {p.k} members do not interleave")
+        k = np.asarray(self.k, dtype=np.int64)
+        c = np.asarray(self.centers, dtype=np.float64)
+        d = np.asarray(self.deltas, dtype=np.float64)
+        if not k.ndim == c.ndim == d.ndim == 1 or not k.size == c.size == d.size:
+            raise ValueError("k, centers and deltas must be 1-d and of equal length")
+        negative = d < 0
+        if np.any(negative):
+            raise ValueError(f"doublet {k[negative][0]} has negative splitting")
+        merged = (d > 0) & (c - d >= c + d)
+        if np.any(merged):
+            raise ValueError(f"doublet {k[merged][0]} members do not interleave")
+        object.__setattr__(self, "k", _freeze(k))
+        object.__setattr__(self, "centers", _freeze(c))
+        object.__setattr__(self, "deltas", _freeze(d))
 
     @property
     def count(self) -> int:
-        return len(self.pairs)
+        return self.k.size
 
-    def centers(self) -> np.ndarray:
-        return np.asarray([p.center for p in self.pairs])
+    @property
+    def energies(self) -> np.ndarray:
+        """Levels ascending within each doublet: lower_1, upper_1, lower_2, ..."""
+        out = np.empty(2 * self.count)
+        out[0::2] = self.centers - self.deltas
+        out[1::2] = self.centers + self.deltas
+        return out
 
-    def deltas(self) -> np.ndarray:
-        return np.asarray([p.delta for p in self.pairs])
+    @property
+    def wide(self) -> tuple[int, ...]:
+        """Doublets whose splitting is not small against their center
+        (ratio >= 0.1), where the doublet picture degrades."""
+        return tuple(self.k[self.deltas / self.centers >= 0.1].tolist())
 
 
 def box_spectrum(cfg: EngineConfig) -> BoxSpectrum:
-    """Bare-box levels 1..n_trunc; odd n are even (cosine-like) states."""
-    eps = cfg.epsilon
-    levels = tuple(
-        (n, eps * n * n, "even" if n % 2 == 1 else "odd")
-        for n in range(1, cfg.n_trunc + 1)
-    )
-    return BoxSpectrum(epsilon=eps, levels=levels)
+    """Bare-box levels 1..n_trunc."""
+    return BoxSpectrum(epsilon=cfg.epsilon, n_max=cfg.n_trunc)
 
 
 # ---------------------------------------------------------------------------
 # the split spectrum
 # ---------------------------------------------------------------------------
 
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """fn applied by the C library, element by element.  numpy's SIMD
+    exp/cosh/sinh may differ from it in the last bit, and reported
+    splittings and measurement probabilities are pinned to libm's."""
+    return np.fromiter(map(fn, x.tolist()), dtype=np.float64, count=x.size)
+
+
 def _formula_split(cfg: EngineConfig, n_pairs: int) -> SplitSpectrum:
     epsp = cfg.epsilon_prime
     u = cfg.barrier_height
-    pairs = []
-    excluded = []
-    for k in range(1, n_pairs + 1):
-        center = epsp * (2 * k) ** 2
-        if u <= center:
-            excluded.append(k)
-            continue
-        if math.isinf(u):
-            delta = 0.0
-        else:
-            # action of the under-barrier traversal, in units of hbar
-            action = cfg.barrier_width * math.sqrt(2.0 * cfg.mass * (u - center)) / cfg.hbar
-            delta = (4.0 * epsp / math.pi) * math.exp(-action)
-        pairs.append(SplitPair(k=k, center=center, delta=delta))
-    wide = tuple(p.k for p in pairs if p.delta / p.center >= 0.1)
-    return SplitSpectrum(epsp, tuple(pairs), "formula", tuple(excluded), wide)
+    k = np.arange(1, n_pairs + 1)
+    centers = epsp * (2 * k) ** 2
+    inside = centers < u
+    k, centers = k[inside], centers[inside]
+    if math.isinf(u):
+        deltas = np.zeros(k.size)
+    else:
+        # action of the under-barrier traversal, in units of hbar
+        action = cfg.barrier_width * np.sqrt(2.0 * cfg.mass * (u - centers)) / cfg.hbar
+        deltas = (4.0 * epsp / math.pi) * _libm(math.exp, -action)
+    return SplitSpectrum(epsp, k, centers, deltas, "formula",
+                         tuple(range(k.size + 1, n_pairs + 1)))
 
 
 def _quantization_mismatch(energy: float, cfg: EngineConfig, antisymmetric: bool) -> float:
@@ -150,26 +147,44 @@ def _quantization_mismatch(energy: float, cfg: EngineConfig, antisymmetric: bool
     return q / math.tan(q * w) + barrier
 
 
+def _bisect(f, a: float, b: float, fa: float, fb: float,
+            xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of f in [a, b] given fa = f(a) != 0 and fb = f(b) of the other sign.
+
+    The iteration of scipy.optimize.bisect, step for step, so the roots are
+    bit-identical to it: halve the step, move the left end while the sign
+    matches f(a), stop once |step| < xtol + rtol |midpoint|.
+    """
+    if fb == 0.0:
+        return b
+    dm = b - a
+    for _ in range(maxiter):
+        dm *= 0.5
+        xm = a + dm
+        fm = f(xm)
+        if fm * fa >= 0.0:
+            a = xm
+        if fm == 0.0 or abs(dm) < xtol + rtol * abs(xm):
+            return xm
+    raise BracketingError(f"bisection did not converge in {maxiter} steps")
+
+
 def _numeric_split(cfg: EngineConfig, n_pairs: int) -> SplitSpectrum:
     if math.isinf(cfg.barrier_height):
         raise RegimeError("numeric mode needs a finite barrier; use formula mode")
     hbar, m = cfg.hbar, cfg.mass
     w = (cfg.box_length - cfg.barrier_width) / 2.0
-    epsp = cfg.epsilon_prime
 
     def energy_at(qw: float) -> float:
         return (hbar * qw / w) ** 2 / (2.0 * m)
 
-    pairs = []
-    excluded = []
+    roots: list[float] = []  # e_sym, e_anti per retained doublet
+    retained = 0
     for k in range(1, n_pairs + 1):
-        window_top = energy_at(k * math.pi)
-        if window_top >= cfg.barrier_height:
-            excluded.append(k)  # doublet reaches past the barrier top
-            continue
+        if energy_at(k * math.pi) >= cfg.barrier_height:
+            break  # this doublet and every higher one reach past the barrier top
         lo = energy_at((k - 1) * math.pi + 1e-9)
         hi = energy_at(k * math.pi - 1e-12)
-        roots = []
         for anti in (False, True):
             def f(e, anti=anti):
                 return _quantization_mismatch(e, cfg, anti)
@@ -181,15 +196,13 @@ def _numeric_split(cfg: EngineConfig, n_pairs: int) -> SplitSpectrum:
                 raise BracketingError(
                     f"no sign change for doublet {k} "
                     f"({'anti' if anti else 'sym'}) in window [{lo:.6g}, {hi:.6g}]")
-            roots.append(bisect(f, lo, hi, xtol=1e-14, rtol=1e-12))
-        e_sym, e_anti = roots
-        pairs.append(SplitPair(
-            k=k,
-            center=(e_anti + e_sym) / 2.0,
-            delta=(e_anti - e_sym) / 2.0,
-        ))
-    wide = tuple(p.k for p in pairs if p.delta / p.center >= 0.1)
-    return SplitSpectrum(epsp, tuple(pairs), "numeric", tuple(excluded), wide)
+            roots.append(_bisect(f, lo, hi, fa, fb, xtol=1e-14, rtol=1e-12))
+        retained = k
+    pair_roots = np.array(roots).reshape(retained, 2)
+    e_sym, e_anti = pair_roots[:, 0], pair_roots[:, 1]
+    return SplitSpectrum(cfg.epsilon_prime, np.arange(1, retained + 1),
+                         (e_anti + e_sym) / 2.0, (e_anti - e_sym) / 2.0, "numeric",
+                         tuple(range(retained + 1, n_pairs + 1)))
 
 
 def split_spectrum(cfg: EngineConfig, mode: str = "numeric",
@@ -211,6 +224,8 @@ def split_spectrum(cfg: EngineConfig, mode: str = "numeric",
 # ---------------------------------------------------------------------------
 
 def _fd_eigenvalues(cfg: EngineConfig, n_interior: int, n_levels: int) -> np.ndarray:
+    from scipy.linalg import eigh_tridiagonal  # the oracle alone needs scipy
+
     l, d, u = cfg.box_length, cfg.barrier_width, cfg.barrier_height
     dx = l / (n_interior + 1)
     x = -l / 2.0 + dx * np.arange(1, n_interior + 1)
@@ -245,62 +260,3 @@ def fd_pair_energies(cfg: EngineConfig, n_pairs: int,
         return vals
     half = _fd_eigenvalues(cfg, (n_points + 1) // 2 - 1, 2 * n_pairs)
     return (4.0 * vals - half) / 3.0
-
-
-# ---------------------------------------------------------------------------
-# eigenfunctions and the left/right basis
-# ---------------------------------------------------------------------------
-
-def pair_wavefunctions(cfg: EngineConfig, pair: SplitPair,
-                       x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Doublet eigenfunctions (psi_plus, psi_minus) on the grid `x`.
-
-    psi_plus is the antisymmetric (upper) member, psi_minus the symmetric
-    (lower) one; both are normalized by trapezoid quadrature and signed so
-    their left-well lobes coincide, making (psi_plus + psi_minus)/sqrt(2)
-    the left-localized combination.
-    """
-    if math.isinf(cfg.barrier_height):
-        raise RegimeError("eigenfunctions need a finite barrier")
-    hbar, m = cfg.hbar, cfg.mass
-    l, d, u = cfg.box_length, cfg.barrier_width, cfg.barrier_height
-    w = (l - d) / 2.0
-
-    def piecewise(energy: float, antisymmetric: bool) -> np.ndarray:
-        q = math.sqrt(2.0 * m * energy) / hbar
-        kappa = math.sqrt(2.0 * m * (u - energy)) / hbar
-        amp_edge = math.sin(q * w)
-        psi = np.zeros_like(x)
-        left = x <= -d / 2.0
-        right = x >= d / 2.0
-        mid = ~(left | right)
-        psi[left] = np.sin(q * (l / 2.0 + x[left]))
-        deep = kappa * d / 2.0 > 350.0  # cosh/sinh overflow; interior is dead
-        if antisymmetric:
-            if not deep:
-                b = amp_edge / math.sinh(kappa * d / 2.0)
-                psi[mid] = -b * np.sinh(kappa * x[mid])
-            psi[right] = -np.sin(q * (l / 2.0 - x[right]))
-        else:
-            if not deep:
-                b = amp_edge / math.cosh(kappa * d / 2.0)
-                psi[mid] = b * np.cosh(kappa * x[mid])
-            psi[right] = np.sin(q * (l / 2.0 - x[right]))
-        return psi / math.sqrt(np.trapezoid(psi * psi, x))
-
-    psi_plus = piecewise(pair.upper, antisymmetric=True)
-    psi_minus = piecewise(pair.lower, antisymmetric=False)
-    return psi_plus, psi_minus
-
-
-def lr_block_map(n_pairs: int) -> np.ndarray:
-    """Unitary relating doublet coordinates (psi+, psi-) to (L, R).
-
-    Columns are L_k = (psi+ + psi-)/sqrt(2) and R_k = (psi- - psi+)/sqrt(2)
-    per doublet, stacked block-diagonally.  rho_LR = B^dagger rho_energy B.
-    """
-    block = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
-    out = np.zeros((2 * n_pairs, 2 * n_pairs))
-    for k in range(n_pairs):
-        out[2 * k: 2 * k + 2, 2 * k: 2 * k + 2] = block
-    return out

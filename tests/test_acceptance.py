@@ -135,17 +135,15 @@ def test_criterion_4_barrier_splitting():
                                barrier_height=1200.0, n_trunc=12)
     numeric = split_spectrum(cfg, "numeric", n_pairs=5)
     formula = split_spectrum(cfg, "formula", n_pairs=5)
-    assert cfg.barrier_height >= 10.0 * numeric.pairs[4].center
+    assert cfg.barrier_height >= 10.0 * numeric.centers[4]
 
     fd = fd_pair_energies(cfg, 5)
-    exact = np.empty(10)
-    for i, p in enumerate(numeric.pairs):
-        exact[2 * i], exact[2 * i + 1] = p.lower, p.upper
+    exact = numeric.energies
     fd_rel = float(np.max(np.abs(fd - exact) / exact))
     crit.check(f"grid oracle vs transcendental solve {fd_rel:.2e} <= 1e-6 (k <= 5)",
                fd_rel <= 1e-6)
 
-    ratios = formula.deltas() / numeric.deltas()
+    ratios = formula.deltas / numeric.deltas
     crit.check(
         "closed-form splitting within factor 2 of exact for k <= 5 "
         f"(ratios {np.array2string(ratios, precision=3)})",
@@ -153,7 +151,7 @@ def test_criterion_4_barrier_splitting():
 
     deltas = [split_spectrum(
         EngineConfig.natural(eps_beta=1.0, d_over_l=0.05, barrier_height=u,
-                             n_trunc=12), "numeric", n_pairs=5).deltas()
+                             n_trunc=12), "numeric", n_pairs=5).deltas
         for u in (1200.0, 2400.0, 4800.0, 9600.0)]
     crit.check("splitting shrinks monotonically as the barrier grows",
                all(np.all(b < a) for a, b in zip(deltas, deltas[1:])))

@@ -60,6 +60,8 @@ def test_negative_length_is_config_error(capsys, tmp_path):
     ["--U", "nan"],
     ["--T", "inf"],
     ["--U", "1e-3"],  # every doublet sits above the barrier
+    ["--T", "0.00125"],  # eps*beta = 800: every box weight underflows
+    ["--T", "0.005"],  # the box sum survives, the doublet sum underflows
 ])
 def test_invalid_engine_input_fails_closed(capsys, tmp_path, flags):
     out_path = tmp_path / "never.json"
@@ -67,6 +69,30 @@ def test_invalid_engine_input_fails_closed(capsys, tmp_path, flags):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
+    assert not out_path.exists()
+
+
+def test_spectrum_split_beyond_n_trunc_reports_every_doublet(capsys, tmp_path):
+    # n_pairs = 10 asks for more doublets than the default n_trunc = 12 holds
+    cfg = tmp_path / "pairs.json"
+    cfg.write_text(json.dumps({"params": {"n_pairs": 10}}))
+    out_path = tmp_path / "split.json"
+    code, _, _ = run_cli(
+        ["spectrum-split", "--config", str(cfg), "--out", str(out_path)], capsys)
+    assert code == 0
+    report = json.loads(out_path.read_text())
+    assert [row[0] for row in report["table"]["rows"]] == list(range(1, 11))
+    assert len(report["data"]["numeric_energies"]) == 20
+
+
+def test_spectrum_split_doublets_above_barrier_fail_closed(capsys, tmp_path):
+    out_path = tmp_path / "never.json"
+    code, out, err = run_cli(
+        ["spectrum-split", "--U", "5", "--out", str(out_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "past the barrier top" in err
     assert not out_path.exists()
 
 
@@ -252,3 +278,13 @@ def test_no_scenario_prints_help(capsys):
     code, out, _ = run_cli([], capsys)
     assert code == 2
     assert "scenario" in out
+
+
+def test_import_loads_no_scipy():
+    # scipy serves only the finite-difference oracle, imported when it runs
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, envstat.scenarios; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -243,7 +243,7 @@ def test_purification_matches_engine_thermal_state():
     cfg = EngineConfig.natural(eps_beta=0.5, n_trunc=50)
     box = box_spectrum(cfg)
     rho, _ = thermal_state(box, cfg.temperature)
-    ladder = LevelLadder(tuple(e for _, e, _ in box.levels), tuple([1] * 50))
+    ladder = LevelLadder(tuple(box.energies.tolist()), tuple([1] * 50))
     reduced = partial_trace_env(thermal_purification(ladder, cfg.beta, check_tail=True))
     assert reduced.distance(rho) < 1e-10
 

@@ -17,19 +17,18 @@ from envstat.hilbert import DensityOperator, von_neumann_entropy
 from envstat.szilard import (
     EngineConfig,
     EngineState,
-    SplitPair,
     SplitSpectrum,
     BoxSpectrum,
     barrier_thermal_state,
     box_spectrum,
     classical_ensemble_cycle,
     free_energy_ledger,
-    lr_block_map,
     measure_side,
     split_spectrum,
     thermal_state,
     z_boltzmann_gas,
 )
+from lr_oracles import lr_block_map
 
 
 # ---------------------------------------------------------------------------
@@ -67,10 +66,15 @@ def test_partition_sum_against_extended_sum_oracle():
 
 
 def test_truncation_tail_rejected():
-    short = BoxSpectrum(epsilon=1.0, levels=tuple(
-        (n, float(n * n), "even" if n % 2 else "odd") for n in range(1, 41)))
+    short = BoxSpectrum(epsilon=1.0, n_max=40)
     with pytest.raises(TruncationError):
         thermal_state(short, temperature=1000.0)
+
+
+def test_underflowing_partition_sum_is_out_of_regime():
+    frozen = BoxSpectrum(epsilon=1.0, n_max=3)
+    with pytest.raises(RegimeError, match="underflows"):
+        thermal_state(frozen, temperature=1.0 / 800.0)
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +85,13 @@ def synthetic_split(deltas, centers=None):
     deltas = np.asarray(deltas, dtype=float)
     if centers is None:
         centers = np.asarray([4.0 * (k + 1) ** 2 for k in range(len(deltas))])
-    pairs = tuple(SplitPair(k + 1, float(c), float(d))
-                  for k, (c, d) in enumerate(zip(centers, deltas)))
-    return SplitSpectrum(1.0, pairs, "formula")
+    return SplitSpectrum(1.0, np.arange(1, len(deltas) + 1), centers, deltas, "formula")
+
+
+def test_underflowing_split_partition_sum_is_out_of_regime():
+    split = synthetic_split([0.0, 0.0])
+    with pytest.raises(RegimeError, match="underflows"):
+        barrier_thermal_state(split, temperature=1.0 / 200.0, basis="LR")
 
 
 def test_zero_splitting_has_no_lr_coherence():
@@ -116,7 +124,7 @@ def test_lowest_doublet_coherence_ratio_is_tanh():
     split = synthetic_split([0.1 / beta, 0.02 / beta])
     rho = barrier_thermal_state(split, temperature=7.0, basis="LR")
     ratio = np.real(rho.matrix[0, 1]) / np.real(rho.matrix[0, 0])
-    assert abs(ratio - math.tanh(beta * split.pairs[0].delta)) < 1e-10
+    assert abs(ratio - math.tanh(beta * split.deltas[0])) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +149,7 @@ def test_post_state_carries_cosh_weights():
     cfg, split, rho = engine_lr_state(eps_beta=0.02)
     out_l, _ = measure_side(rho)
     beta = cfg.beta
-    weights = np.exp(-beta * split.centers()) * np.cosh(beta * split.deltas())
+    weights = np.exp(-beta * split.centers) * np.cosh(beta * split.deltas)
     weights /= np.sum(weights)
     diag = np.real(np.diagonal(out_l.post_state.matrix))[0::2]
     assert np.max(np.abs(diag - weights)) < 1e-10
@@ -250,7 +258,7 @@ def test_lr_state_is_rotated_energy_state(engine_states):
     b = lr_block_map(split.count)
     assert_rel_close(states["LR"].matrix, b.T @ states["energy"].matrix @ b)
     # each coherence is w sinh(beta Delta): nonzero exactly where Delta is
-    assert np.array_equal(states["LR"].coherences > 0, split.deltas() > 0)
+    assert np.array_equal(states["LR"].coherences > 0, split.deltas > 0)
 
 
 def test_engine_state_rejects_invalid_structure():
@@ -332,7 +340,7 @@ def test_ledger_entropy_finite_when_populations_underflow():
     # 448 doublets at kT = 1000: the top populations underflow to exactly 0
     cfg = EngineConfig.natural(eps_beta=1e-3, n_trunc=896)
     split = split_spectrum(cfg, "formula")
-    assert math.exp(-cfg.beta * split.pairs[-1].center) == 0.0
+    assert math.exp(-cfg.beta * split.centers[-1]) == 0.0
     led = free_energy_ledger(cfg)
     assert math.isfinite(led.entry("measure").entropy)
     assert led.checks.measurement_entropy_drop == pytest.approx(math.log(2.0), abs=1e-6)

@@ -14,7 +14,7 @@ import sys
 
 from . import __version__
 from .errors import ConfigError, EnvstatError
-from .report import render_csv, render_json, write_report
+from .report import render_csv, render_json
 from .scenarios import SCENARIOS, resolve_config, run_scenario
 
 _SCENARIO_HELP = {
@@ -121,16 +121,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    text = render_csv(report) if cfg.output_format == "csv" else render_json(report)
     if cfg.output_path is not None:
         try:
-            write_report(report, cfg.output_path, cfg.output_format)
+            with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
         except OSError as exc:
             print(f"error: cannot write report: {exc}", file=sys.stderr)
             return 2
-    elif cfg.output_format == "csv":
-        sys.stdout.write(render_csv(report))
     else:
-        sys.stdout.write(render_json(report))
+        sys.stdout.write(text)
 
     failed = [c for c in report.checks if not c.passed]
     print(f"{report.scenario}: {len(report.checks) - len(failed)}/"

@@ -84,14 +84,10 @@ class PhaseShift:
 
 @dataclass(frozen=True)
 class SwapSpec:
-    """Pairwise permutation of Schmidt branch labels.
-
-    scope is "full" when every branch of the target state appears in a pair,
-    "partial" otherwise; it is fixed against the state at application time.
-    """
+    """Pairwise permutation of Schmidt branch labels; branches in no pair
+    are left in place."""
 
     pairs: tuple[tuple[int, int], ...]
-    scope: str = "partial"
 
     def __post_init__(self):
         pairs = tuple((int(k), int(l)) for k, l in self.pairs)
@@ -102,12 +98,7 @@ class SwapSpec:
             if k in seen or l in seen:
                 raise ValueError("swap indices must be distinct across pairs")
             seen.update((k, l))
-        if self.scope not in ("full", "partial"):
-            raise ValueError(f"unknown swap scope {self.scope!r}")
         object.__setattr__(self, "pairs", pairs)
-
-    def touched(self) -> set[int]:
-        return {i for pair in self.pairs for i in pair}
 
 
 @dataclass(frozen=True)
@@ -223,8 +214,6 @@ def _check_pairs(form: SchmidtForm, swap: SwapSpec) -> None:
         if k > hi or l > hi:
             raise DimensionMismatchError(
                 f"swap pair ({k}, {l}) exceeds Schmidt rank {form.rank}")
-    if swap.scope == "full" and swap.touched() != set(range(form.rank)):
-        raise ValueError("full-scope swap must cover every Schmidt branch")
 
 
 def _mirrored_permutation(state: BipartitePureState, form: SchmidtForm,
@@ -300,7 +289,7 @@ class FinegrainResult:
         return len(self.branch_labels)
 
 
-def finegrain_born_rule(spec: FinegrainSpec, max_branches: int = MAX_BRANCHES,
+def finegrain_born_rule(spec: FinegrainSpec,
                         tols: Tolerances = DEFAULT_TOLS) -> FinegrainResult:
     """Split a two-outcome state with weights mu, nu into equal branches.
 
@@ -311,9 +300,9 @@ def finegrain_born_rule(spec: FinegrainSpec, max_branches: int = MAX_BRANCHES,
     floating-point step.
     """
     total = spec.mu + spec.nu
-    if total > max_branches:
+    if total > MAX_BRANCHES:
         raise BranchLimitError(
-            f"mu + nu = {total} exceeds the branch budget {max_branches}")
+            f"mu + nu = {total} exceeds the branch budget {MAX_BRANCHES}")
 
     coeff = 1.0 / np.sqrt(total)
     amps = np.zeros((2 * total, total), dtype=np.complex128)

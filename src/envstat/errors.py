@@ -26,7 +26,7 @@ class NotEvenError(EnvstatError):
 
 
 class BranchLimitError(EnvstatError):
-    """Requested finegraining exceeds the configured branch budget."""
+    """Requested finegraining exceeds the branch budget."""
 
 
 class SubspaceEscapeError(EnvstatError):
@@ -39,10 +39,6 @@ class TruncationError(EnvstatError):
 
 class BracketingError(EnvstatError):
     """Root bracketing failed inside a quantization-condition window."""
-
-
-class LeakyProjectorError(EnvstatError):
-    """Measurement projectors miss a non-negligible part of the state."""
 
 
 class RegimeError(EnvstatError):

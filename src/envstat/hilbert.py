@@ -1,9 +1,10 @@
 """Dense complex linear algebra substrate.
 
 States, operators, tensor products, partial traces, Schmidt decomposition,
-and von Neumann entropy.  All containers are immutable after construction
-and validated against the shared tolerance record; every operation is a
-pure function, so instances are safe to share between threads.
+von Neumann entropy and Haar-random unitaries.  All containers are
+immutable after construction and validated against the shared tolerance
+record; every operation is a pure function, so instances are safe to share
+between threads.
 
 Dimensions are desk scale (a few thousand at most), so these containers
 are dense complex128, with no sparse or tensor-network representations.
@@ -35,9 +36,6 @@ __all__ = [
     "von_neumann_entropy",
     "apply_local",
     "haar_unitary",
-    "random_state_vector",
-    "random_bipartite_state",
-    "random_density_operator",
 ]
 
 
@@ -80,12 +78,6 @@ class StateVector:
             raise DimensionMismatchError("overlap needs equal dimensions")
         return complex(np.vdot(self.amps, other.amps))
 
-    @staticmethod
-    def basis(dim: int, index: int, tols: Tolerances = DEFAULT_TOLS) -> StateVector:
-        amps = np.zeros(dim, dtype=np.complex128)
-        amps[index] = 1.0
-        return StateVector(amps, tols)
-
 
 @dataclass(frozen=True, eq=False)
 class BipartitePureState:
@@ -119,12 +111,6 @@ class BipartitePureState:
         if other.amps.shape != self.amps.shape:
             raise DimensionMismatchError("states live on different spaces")
         return float(np.linalg.norm(self.amps - other.amps))
-
-    @staticmethod
-    def product(a: StateVector, b: StateVector,
-                tols: Tolerances = DEFAULT_TOLS) -> BipartitePureState:
-        """Product state |a>_S |b>_E."""
-        return BipartitePureState(np.outer(a.amps, b.amps), tols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,17 +241,16 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(np.kron(a.amps, b.amps), a.tols)
 
 
-def schmidt(state: BipartitePureState, tol: float | None = None) -> SchmidtForm:
+def schmidt(state: BipartitePureState) -> SchmidtForm:
     """Schmidt decomposition via SVD of the amplitude matrix.
 
-    Branch coefficients are the singular values above `tol` (defaults to the
-    decomposition tolerance).  Phases are pulled out of the branch vectors so
-    that every retained coefficient is real nonnegative and both bases follow
-    a largest-component-real-positive convention.
+    Branch coefficients are the singular values above the decomposition
+    tolerance.  Phases are pulled out of the branch vectors so that every
+    retained coefficient is real nonnegative and both bases follow a
+    largest-component-real-positive convention.
     """
     tols = state.tols
-    if tol is None:
-        tol = tols.decomposition
+    tol = tols.decomposition
     u, s, vh = np.linalg.svd(state.amps, full_matrices=False)
     rank = max(int(np.sum(s > tol)), 1)
     coeffs = s[:rank].astype(np.float64)
@@ -330,7 +315,7 @@ def apply_local(state: BipartitePureState, u: UnitaryOperator, side: str) -> Bip
 
 
 # ---------------------------------------------------------------------------
-# seeded random instances
+# seeded random unitaries
 # ---------------------------------------------------------------------------
 
 def haar_unitary(dim: int, rng: np.random.Generator,
@@ -342,22 +327,3 @@ def haar_unitary(dim: int, rng: np.random.Generator,
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
     return UnitaryOperator(q, tols)
-
-
-def random_state_vector(dim: int, rng: np.random.Generator,
-                        tols: Tolerances = DEFAULT_TOLS) -> StateVector:
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector(z / np.linalg.norm(z), tols)
-
-
-def random_bipartite_state(dim_sys: int, dim_env: int, rng: np.random.Generator,
-                           tols: Tolerances = DEFAULT_TOLS) -> BipartitePureState:
-    z = rng.standard_normal((dim_sys, dim_env)) + 1j * rng.standard_normal((dim_sys, dim_env))
-    return BipartitePureState(z / np.linalg.norm(z), tols)
-
-
-def random_density_operator(dim: int, rng: np.random.Generator,
-                            tols: Tolerances = DEFAULT_TOLS) -> DensityOperator:
-    """Mixed state obtained by tracing half of a random pure dilation."""
-    state = random_bipartite_state(dim, dim, rng, tols)
-    return partial_trace_env(state)

@@ -16,10 +16,7 @@ import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .errors import ConfigError
-
-__all__ = ["CheckRecord", "DataTable", "RunReport", "render_json", "render_csv",
-           "write_report"]
+__all__ = ["CheckRecord", "DataTable", "RunReport", "render_json", "render_csv"]
 
 
 @dataclass(frozen=True)
@@ -199,14 +196,3 @@ def render_csv(report: RunReport) -> str:
                              "" if c.tolerance is None else c.tolerance,
                              c.passed, c.provenance, c.units])
     return buf.getvalue()
-
-
-def write_report(report: RunReport, path: str, fmt: str) -> None:
-    if fmt == "json":
-        text = render_json(report)
-    elif fmt == "csv":
-        text = render_csv(report)
-    else:
-        raise ConfigError(f"unknown output format {fmt!r}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)

@@ -13,9 +13,11 @@ class EngineConfig:
     Natural units (hbar = kB = 1, m = 1/2, L = pi) make the level unit
     epsilon equal 1, so every number is hand-checkable.  barrier_height may
     be math.inf, which selects the exact two-well limit (zero tunneling
-    splitting); every other parameter must be finite and positive.  When n_trunc is omitted it is sized so that the Boltzmann
-    tail beyond the last level is below 1e-12 and the measured pair count
-    satisfies N^2 * eps * beta >= 20.
+    splitting); every other parameter must be finite and positive, and so
+    must the derived scales epsilon, beta, eps_beta and epsilon_prime.  When
+    n_trunc is omitted it is sized so that the Boltzmann tail beyond the last
+    level is below 1e-12 and the measured pair count satisfies
+    N^2 * eps * beta >= 20.
     """
 
     mass: float
@@ -39,6 +41,14 @@ class EngineConfig:
                 f"barrier_height must be positive (math.inf allowed), got {self.barrier_height}")
         if self.barrier_width / self.box_length > 0.05:
             raise ValueError("thin-barrier regime requires d/L <= 0.05")
+        for name in ("epsilon", "beta", "eps_beta", "epsilon_prime"):
+            try:
+                ok = 0.0 < getattr(self, name) < math.inf
+            except (OverflowError, ZeroDivisionError):
+                ok = False
+            if not ok:
+                raise ValueError(
+                    f"derived scale {name} overflows or underflows double precision")
         if self.n_trunc is None:
             object.__setattr__(self, "n_trunc", self._auto_trunc())
         elif self.n_trunc < 1:

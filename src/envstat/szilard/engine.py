@@ -1,10 +1,11 @@
 """Thermal states of the engine and the which-side measurement.
 
-Every engine state is diagonal in the box or doublet basis, apart from one
-real coherence inside each doublet block in the L/R basis.  EngineState
-stores exactly that structure, so building, validating, measuring and
-diagonalizing a state costs O(n) time and memory; a dense matrix is built
-only when `.matrix` is read.
+The bare box's Gibbs state is diagonal in the box basis; the split box's is
+built in the left/right basis, where each doublet block carries one real
+coherence between L_k and R_k.  EngineState stores exactly that structure,
+so building, validating, measuring and diagonalizing a state costs O(n)
+time and memory; a dense matrix is built only when `.matrix` is read.  Both
+Gibbs-state constructors return the state together with its partition sum.
 """
 
 from __future__ import annotations
@@ -14,16 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import (
-    DimensionMismatchError,
-    InvalidStateError,
-    LeakyProjectorError,
-    RegimeError,
-    TruncationError,
-)
-from ..hilbert import _freeze, von_neumann_entropy
+from ..errors import DimensionMismatchError, InvalidStateError, RegimeError, TruncationError
+from ..hilbert import _freeze
 from ..tolerances import DEFAULT_TOLS, Tolerances
-from .config import EngineConfig
 from .spectrum import BoxSpectrum, SplitSpectrum, _libm
 
 __all__ = [
@@ -147,32 +141,23 @@ def split_partition_function(split: SplitSpectrum, beta: float) -> float:
     return z
 
 
-def barrier_thermal_state(split: SplitSpectrum, temperature: float,
-                          basis: str = "energy", kb: float = 1.0,
-                          tols: Tolerances = DEFAULT_TOLS) -> EngineState:
-    """Gibbs state of the split box in the requested basis.
+def barrier_thermal_state(split: SplitSpectrum, temperature: float, kb: float = 1.0,
+                          tols: Tolerances = DEFAULT_TOLS) -> tuple[EngineState, float]:
+    """Gibbs state of the split box in the L/R basis and its partition sum.
 
-    basis "energy" orders each doublet as (psi+, psi-) with weights
-    exp(-beta(E_k +- Delta_k))/Z and no coherences.  basis "LR" carries
-    cosh(beta Delta_k) on the diagonal and sinh(beta Delta_k) between L_k
-    and R_k (both times exp(-beta E_k)/Z), the two being related by the
-    exact doublet rotation; as Delta -> 0 the coherences vanish and the
-    state commutes with the which-side projectors.  Either way the state
-    is an O(n) EngineState.
+    Each doublet block carries cosh(beta Delta_k) on the diagonal and
+    sinh(beta Delta_k) between L_k and R_k, both times exp(-beta E_k)/Z:
+    the energy-basis state (psi+, psi-) with weights exp(-beta(E_k +-
+    Delta_k))/Z, turned by the exact doublet rotation.  As Delta -> 0 the
+    coherences vanish and the state commutes with the which-side
+    projectors.
     """
     beta = 1.0 / (kb * temperature)
     e, d = split.centers, split.deltas
     z = split_partition_function(split, beta)
-    if basis == "energy":
-        diag = np.empty(2 * split.count)
-        diag[0::2] = np.exp(-beta * (e + d))  # psi+ slots
-        diag[1::2] = np.exp(-beta * (e - d))  # psi- slots
-        return EngineState(diag / z, tols=tols)
-    if basis == "LR":
-        w = _libm(math.exp, -beta * e) / z
-        ch = w * _libm(math.cosh, beta * d)
-        return EngineState(np.repeat(ch, 2), w * _libm(math.sinh, beta * d), tols)
-    raise ValueError(f"unknown basis {basis!r}")
+    w = _libm(math.exp, -beta * e) / z
+    ch = w * _libm(math.cosh, beta * d)
+    return EngineState(np.repeat(ch, 2), w * _libm(math.sinh, beta * d), tols), z
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,44 +172,20 @@ class MeasurementOutcome:
     probability: float
     post_state: EngineState | None
 
-    def entropy(self) -> float:
-        if self.post_state is None:
-            raise ValueError(f"outcome {self.side} has no post state (p = 0)")
-        return von_neumann_entropy(self.post_state)
 
-
-def measure_side(rho: EngineState, n_pairs: int | None = None,
-                 cfg: EngineConfig | None = None,
-                 leak_tol: float = 1e-6) -> tuple[MeasurementOutcome, MeasurementOutcome]:
+def measure_side(rho: EngineState) -> tuple[MeasurementOutcome, MeasurementOutcome]:
     """Project a state in the L/R block layout onto left and right.
 
-    The projectors sum |L_k><L_k| and |R_k><R_k| over the first n_pairs
-    doublets (all of them by default, in which case they resolve the
-    identity on the truncated space exactly).  When a config is supplied
-    the doublet count must satisfy N^2 * eps * beta >= 20, the regime in
-    which the projectors distinguish the sides.  Outcome probabilities
-    Tr(P rho P) are sums of the weights over the side's levels; post states
-    are those weights renormalized, with every other level and every L/R
-    coherence projected out, so the whole measurement is O(n).
+    The projectors sum |L_k><L_k| and |R_k><R_k| over every doublet, so
+    they resolve the identity on the truncated space exactly.  Outcome
+    probabilities Tr(P rho P) are sums of the weights over the side's
+    levels; post states are those weights renormalized, with every other
+    level and every L/R coherence projected out, so the whole measurement
+    is O(n).
     """
     dim = rho.dim
     if dim % 2 != 0:
         raise DimensionMismatchError("L/R block layout needs an even dimension")
-    total_pairs = dim // 2
-    if n_pairs is None:
-        n_pairs = total_pairs
-    if not 1 <= n_pairs <= total_pairs:
-        raise DimensionMismatchError(
-            f"n_pairs must lie in 1..{total_pairs}, got {n_pairs}")
-    if cfg is not None and n_pairs**2 * cfg.eps_beta < 20.0:
-        raise ValueError(
-            f"projector rank {n_pairs} violates N^2*eps*beta >= 20 "
-            f"(got {n_pairs**2 * cfg.eps_beta:.3g})")
-
-    covered = float(np.sum(rho.weights[: 2 * n_pairs]))
-    if covered < 1.0 - leak_tol:
-        raise LeakyProjectorError(
-            f"projectors cover only {covered:.9f} of the state; increase n_pairs")
 
     def project(side_levels: slice, side: str) -> MeasurementOutcome:
         p = float(np.sum(rho.weights[side_levels]))
@@ -236,5 +197,4 @@ def measure_side(rho: EngineState, n_pairs: int | None = None,
         post[side_levels] = rho.weights[side_levels] * (1.0 / p)
         return MeasurementOutcome(side, p, EngineState(post, tols=rho.tols))
 
-    return (project(slice(0, 2 * n_pairs, 2), "L"),
-            project(slice(1, 2 * n_pairs, 2), "R"))
+    return project(slice(0, dim, 2), "L"), project(slice(1, dim, 2), "R")

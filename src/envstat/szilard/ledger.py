@@ -22,12 +22,7 @@ import numpy as np
 from ..errors import RegimeError
 from ..tolerances import DEFAULT_TOLS, Tolerances
 from .config import EngineConfig
-from .engine import (
-    barrier_thermal_state,
-    measure_side,
-    split_partition_function,
-    thermal_state,
-)
+from .engine import barrier_thermal_state, measure_side, thermal_state
 from .spectrum import box_spectrum, split_spectrum
 
 __all__ = [
@@ -84,9 +79,13 @@ class LedgerChecks:
 
 @dataclass(frozen=True, eq=False)
 class FreeEnergyLedger:
-    """Per-step ledger of the quantum cycle, measurement included."""
+    """Per-step ledger of the quantum cycle, measurement included.
+
+    z_box is the bare-box partition sum behind the initial state point.
+    """
 
     entries: tuple[LedgerEntry, ...]
+    z_box: float
     p_left: float
     p_right: float
     repeat_left_prob: float
@@ -128,7 +127,7 @@ def free_energy_ledger(cfg: EngineConfig,
         raise RegimeError(
             f"barrier height {cfg.barrier_height:g} lies below every doublet "
             "center: no level tunnels, so the split partition sum is empty")
-    z1 = split_partition_function(split, beta)
+    rho_lr, z1 = barrier_thermal_state(split, cfg.temperature, cfg.kb, tols)
     e_c, d_c = split.centers, split.deltas
     w_plus = np.exp(-beta * (e_c + d_c))
     w_minus = np.exp(-beta * (e_c - d_c))
@@ -138,7 +137,6 @@ def free_energy_ledger(cfg: EngineConfig,
     insert = LedgerEntry("insert-barrier", a1, s1, u1, a1 - a0, cfg.temperature * cfg.kb * (s1 - s0))
 
     # measurement: the left and right records are symmetric, so account L
-    rho_lr = barrier_thermal_state(split, cfg.temperature, "LR", cfg.kb, tols)
     out_l, out_r = measure_side(rho_lr)
     repeat_l, _ = measure_side(out_l.post_state)
     z_l = z1 / 2.0
@@ -174,6 +172,7 @@ def free_energy_ledger(cfg: EngineConfig,
     )
     return FreeEnergyLedger(
         entries=(start, insert, measure, expand, erase),
+        z_box=z0,
         p_left=out_l.probability,
         p_right=out_r.probability,
         repeat_left_prob=repeat_l.probability,

@@ -243,20 +243,17 @@ def _fd_eigenvalues(cfg: EngineConfig, n_interior: int, n_levels: int) -> np.nda
     return vals
 
 
-def fd_pair_energies(cfg: EngineConfig, n_pairs: int,
-                     n_points: int = 9999, richardson: bool = True) -> np.ndarray:
+def fd_pair_energies(cfg: EngineConfig, n_pairs: int) -> np.ndarray:
     """Lowest 2*n_pairs eigenvalues from a uniform-grid Hamiltonian.
 
-    The default grid has 1e4 intervals so that for d/L in {0.01, 0.05} the
-    barrier edges land exactly on nodes.  Richardson extrapolation against
-    the half-resolution grid removes the O(dx^2) truncation bias, which
-    would otherwise sit near the 1e-6 relative level for the fifth doublet.
-    Returned ascending: [sym_1, anti_1, sym_2, anti_2, ...].
+    The grid has 1e4 intervals so that for d/L in {0.01, 0.05} the barrier
+    edges land exactly on nodes.  Richardson extrapolation against the
+    half-resolution grid (5e3 intervals) removes the O(dx^2) truncation
+    bias, which would otherwise sit near the 1e-6 relative level for the
+    fifth doublet.  Returned ascending: [sym_1, anti_1, sym_2, anti_2, ...].
     """
     if math.isinf(cfg.barrier_height):
         raise RegimeError("finite-difference oracle needs a finite barrier")
-    vals = _fd_eigenvalues(cfg, n_points, 2 * n_pairs)
-    if not richardson:
-        return vals
-    half = _fd_eigenvalues(cfg, (n_points + 1) // 2 - 1, 2 * n_pairs)
+    vals = _fd_eigenvalues(cfg, 9999, 2 * n_pairs)
+    half = _fd_eigenvalues(cfg, 4999, 2 * n_pairs)
     return (4.0 * vals - half) / 3.0

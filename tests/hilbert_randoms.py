@@ -1,0 +1,42 @@
+"""Seeded random states and small fixed states for the substrate tests."""
+
+import numpy as np
+
+from envstat.hilbert import (
+    BipartitePureState,
+    DensityOperator,
+    StateVector,
+    partial_trace_env,
+)
+from envstat.tolerances import DEFAULT_TOLS, Tolerances
+
+
+def basis_vector(dim: int, index: int, tols: Tolerances = DEFAULT_TOLS) -> StateVector:
+    amps = np.zeros(dim, dtype=np.complex128)
+    amps[index] = 1.0
+    return StateVector(amps, tols)
+
+
+def product_state(a: StateVector, b: StateVector,
+                  tols: Tolerances = DEFAULT_TOLS) -> BipartitePureState:
+    """Product state |a>_S |b>_E."""
+    return BipartitePureState(np.outer(a.amps, b.amps), tols)
+
+
+def random_state_vector(dim: int, rng: np.random.Generator,
+                        tols: Tolerances = DEFAULT_TOLS) -> StateVector:
+    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return StateVector(z / np.linalg.norm(z), tols)
+
+
+def random_bipartite_state(dim_sys: int, dim_env: int, rng: np.random.Generator,
+                           tols: Tolerances = DEFAULT_TOLS) -> BipartitePureState:
+    z = rng.standard_normal((dim_sys, dim_env)) + 1j * rng.standard_normal((dim_sys, dim_env))
+    return BipartitePureState(z / np.linalg.norm(z), tols)
+
+
+def random_density_operator(dim: int, rng: np.random.Generator,
+                            tols: Tolerances = DEFAULT_TOLS) -> DensityOperator:
+    """Mixed state obtained by tracing half of a random pure dilation."""
+    state = random_bipartite_state(dim, dim, rng, tols)
+    return partial_trace_env(state)

@@ -1,12 +1,13 @@
-"""L/R-basis oracles for the engine tests: doublet eigenfunctions on a grid
-and the block rotation between the energy and the left/right bases."""
+"""L/R-basis oracles for the engine tests: doublet eigenfunctions on a grid,
+the split box's Gibbs state in the energy basis, and the block rotation
+between the energy and the left/right bases."""
 
 import math
 
 import numpy as np
 
 from envstat.errors import RegimeError
-from envstat.szilard import EngineConfig
+from envstat.szilard import EngineConfig, EngineState, SplitSpectrum, split_partition_function
 
 
 def pair_wavefunctions(cfg: EngineConfig, lower: float, upper: float,
@@ -60,3 +61,19 @@ def lr_block_map(n_pairs: int) -> np.ndarray:
     for k in range(n_pairs):
         out[2 * k: 2 * k + 2, 2 * k: 2 * k + 2] = block
     return out
+
+
+def energy_basis_state(split: SplitSpectrum, temperature: float,
+                       kb: float = 1.0) -> EngineState:
+    """Gibbs state of the split box in the energy basis.
+
+    Each doublet is ordered (psi+, psi-) with weights
+    exp(-beta(E_k +- Delta_k))/Z and no coherences; lr_block_map turns it
+    into the L/R state that barrier_thermal_state builds.
+    """
+    beta = 1.0 / (kb * temperature)
+    e, d = split.centers, split.deltas
+    diag = np.empty(2 * split.count)
+    diag[0::2] = np.exp(-beta * (e + d))  # psi+ slots
+    diag[1::2] = np.exp(-beta * (e - d))  # psi- slots
+    return EngineState(diag / split_partition_function(split, beta))

@@ -23,6 +23,11 @@ from envstat.szilard import (
     thermal_state,
     z_boltzmann_gas,
 )
+from hilbert_randoms import (
+    random_bipartite_state,
+    random_density_operator,
+    random_state_vector,
+)
 
 LN2 = math.log(2.0)
 
@@ -241,7 +246,7 @@ def test_criterion_8_property_suites():
 
     worst_norm = 0.0
     for _ in range(n):
-        v = hb.random_state_vector(int(rng.integers(2, 9)), rng)
+        v = random_state_vector(int(rng.integers(2, 9)), rng)
         worst_norm = max(worst_norm, abs(np.linalg.norm(v.amps) - 1.0))
     crit.check(f"{n} state vectors normalized (worst {worst_norm:.2e})",
                worst_norm <= 1e-12)
@@ -251,7 +256,7 @@ def test_criterion_8_property_suites():
     for _ in range(n):
         ds = int(rng.integers(2, 7))
         de = int(rng.integers(2, 7))
-        st = hb.random_bipartite_state(ds, de, rng)
+        st = random_bipartite_state(ds, de, rng)
         worst_norm = max(worst_norm, abs(np.linalg.norm(st.amps) - 1.0))
         r = min(ds, de)
         e_sys = hb.partial_trace_env(st).eigenvalues()[::-1][:r]
@@ -266,7 +271,7 @@ def test_criterion_8_property_suites():
     worst_herm = worst_trace = 0.0
     worst_eig = 1.0
     for _ in range(n):
-        rho = hb.random_density_operator(int(rng.integers(2, 7)), rng)
+        rho = random_density_operator(int(rng.integers(2, 7)), rng)
         m = rho.matrix
         worst_herm = max(worst_herm, float(np.max(np.abs(m - m.conj().T))))
         worst_trace = max(worst_trace, abs(np.trace(m).real - 1.0))

@@ -56,19 +56,40 @@ def test_negative_length_is_config_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--T", "nan"],
-    ["--U", "nan"],
-    ["--T", "inf"],
-    ["--U", "1e-3"],  # every doublet sits above the barrier
-    ["--T", "0.00125"],  # eps*beta = 800: every box weight underflows
-    ["--T", "0.005"],  # the box sum survives, the doublet sum underflows
+    ["quantum-cycle", "--T", "nan"],
+    ["quantum-cycle", "--U", "nan"],
+    ["quantum-cycle", "--T", "inf"],
+    ["quantum-cycle", "--U", "1e-3"],  # every doublet sits above the barrier
+    ["quantum-cycle", "--T", "0.00125"],  # eps*beta = 800: every box weight underflows
+    ["quantum-cycle", "--T", "0.005"],  # the box sum survives, the doublet sum underflows
+    ["quantum-cycle", "--L", "1e160"],  # L^2 overflows in epsilon
+    ["spectrum-split", "--L", "1e200"],
 ])
 def test_invalid_engine_input_fails_closed(capsys, tmp_path, flags):
     out_path = tmp_path / "never.json"
-    code, out, err = run_cli(["quantum-cycle", *flags, "--out", str(out_path)], capsys)
+    code, out, err = run_cli([*flags, "--out", str(out_path)], capsys)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("engine,scale", [
+    ({"hbar": 1e200}, "epsilon"),  # hbar^2 overflows
+    ({"kb": 1e300, "temperature": 1e10}, "beta"),  # kT overflows, so beta = 0
+    ({"kb": 1e-300, "temperature": 1e-300}, "beta"),  # kT underflows to 0
+], ids=["hbar-overflow", "kt-overflow", "kt-underflow"])
+def test_config_file_with_overflowing_scales_fails_closed(capsys, tmp_path, engine, scale):
+    cfg = tmp_path / "engine.json"
+    cfg.write_text(json.dumps({"engine": engine}))
+    out_path = tmp_path / "never.json"
+    code, out, err = run_cli(
+        ["quantum-cycle", "--config", str(cfg), "--out", str(out_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"config error: invalid engine config: derived scale {scale} "
+        "overflows or underflows double precision"]
     assert not out_path.exists()
 
 

@@ -16,12 +16,16 @@ from envstat.hilbert import (
     haar_unitary,
     partial_trace_env,
     partial_trace_sys,
-    random_bipartite_state,
-    random_density_operator,
-    random_state_vector,
     schmidt,
     tensor,
     von_neumann_entropy,
+)
+from hilbert_randoms import (
+    basis_vector,
+    product_state,
+    random_bipartite_state,
+    random_density_operator,
+    random_state_vector,
 )
 
 RNG = np.random.default_rng(2024)
@@ -73,14 +77,14 @@ def test_arrays_are_frozen():
 # ---------------------------------------------------------------------------
 
 def test_tensor_basis_product():
-    out = tensor(StateVector.basis(2, 0), StateVector.basis(2, 0))
+    out = tensor(basis_vector(2, 0), basis_vector(2, 0))
     assert out.amps[0] == 1.0
     assert np.all(out.amps[1:] == 0.0)
 
 
 def test_tensor_superposition_with_basis():
     plus = StateVector(np.array([1.0, 1.0]) / math.sqrt(2.0))
-    out = tensor(plus, StateVector.basis(2, 1))
+    out = tensor(plus, basis_vector(2, 1))
     expected = np.array([0.0, 1.0, 0.0, 1.0]) / math.sqrt(2.0)
     assert np.allclose(out.amps, expected, atol=1e-15)
 
@@ -97,7 +101,7 @@ def test_tensor_preserves_norm():
 # ---------------------------------------------------------------------------
 
 def test_schmidt_product_state_rank_one():
-    st = BipartitePureState.product(StateVector.basis(2, 0), StateVector.basis(3, 1))
+    st = product_state(basis_vector(2, 0), basis_vector(3, 1))
     form = schmidt(st)
     assert form.rank == 1
     assert form.coeffs[0] == pytest.approx(1.0, abs=1e-12)
@@ -145,7 +149,7 @@ def test_schmidt_form_validates_orthonormality():
 
 def test_partial_trace_product_state_is_projector():
     a = random_state_vector(3, RNG)
-    st = BipartitePureState.product(a, random_state_vector(4, RNG))
+    st = product_state(a, random_state_vector(4, RNG))
     rho = partial_trace_env(st)
     assert np.allclose(rho.matrix, np.outer(a.amps, a.amps.conj()), atol=1e-12)
 

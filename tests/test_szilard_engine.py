@@ -9,7 +9,6 @@ import pytest
 from envstat.errors import (
     DimensionMismatchError,
     InvalidStateError,
-    LeakyProjectorError,
     RegimeError,
     TruncationError,
 )
@@ -24,11 +23,12 @@ from envstat.szilard import (
     classical_ensemble_cycle,
     free_energy_ledger,
     measure_side,
+    split_partition_function,
     split_spectrum,
     thermal_state,
     z_boltzmann_gas,
 )
-from lr_oracles import lr_block_map
+from lr_oracles import energy_basis_state, lr_block_map
 
 
 # ---------------------------------------------------------------------------
@@ -91,30 +91,29 @@ def synthetic_split(deltas, centers=None):
 def test_underflowing_split_partition_sum_is_out_of_regime():
     split = synthetic_split([0.0, 0.0])
     with pytest.raises(RegimeError, match="underflows"):
-        barrier_thermal_state(split, temperature=1.0 / 200.0, basis="LR")
+        barrier_thermal_state(split, temperature=1.0 / 200.0)
 
 
 def test_zero_splitting_has_no_lr_coherence():
     split = synthetic_split([0.0, 0.0, 0.0])
-    rho = barrier_thermal_state(split, temperature=100.0, basis="LR")
+    rho, _ = barrier_thermal_state(split, temperature=100.0)
     off = rho.matrix - np.diag(np.diagonal(rho.matrix))
     assert np.max(np.abs(off)) == 0.0
 
 
 def test_both_bases_have_unit_trace_and_same_spectrum():
     split = synthetic_split([0.02, 0.01, 0.005])
-    for basis in ("energy", "LR"):
-        rho = barrier_thermal_state(split, temperature=10.0, basis=basis)
+    e = energy_basis_state(split, temperature=10.0)
+    lr, _ = barrier_thermal_state(split, temperature=10.0)
+    for rho in (e, lr):
         assert abs(np.trace(rho.matrix).real - 1.0) < 1e-12
-    e = barrier_thermal_state(split, temperature=10.0, basis="energy")
-    lr = barrier_thermal_state(split, temperature=10.0, basis="LR")
     assert np.allclose(e.eigenvalues(), lr.eigenvalues(), atol=1e-12)
 
 
 def test_bases_related_by_doublet_rotation():
     split = synthetic_split([0.03, 0.015])
-    e = barrier_thermal_state(split, temperature=5.0, basis="energy")
-    lr = barrier_thermal_state(split, temperature=5.0, basis="LR")
+    e = energy_basis_state(split, temperature=5.0)
+    lr, _ = barrier_thermal_state(split, temperature=5.0)
     b = lr_block_map(split.count)
     assert np.max(np.abs(b.T @ e.matrix @ b - lr.matrix)) < 1e-12
 
@@ -122,9 +121,19 @@ def test_bases_related_by_doublet_rotation():
 def test_lowest_doublet_coherence_ratio_is_tanh():
     beta = 1.0 / 7.0
     split = synthetic_split([0.1 / beta, 0.02 / beta])
-    rho = barrier_thermal_state(split, temperature=7.0, basis="LR")
+    rho, _ = barrier_thermal_state(split, temperature=7.0)
     ratio = np.real(rho.matrix[0, 1]) / np.real(rho.matrix[0, 0])
     assert abs(ratio - math.tanh(beta * split.deltas[0])) < 1e-10
+
+
+@pytest.mark.parametrize("eps_beta,barrier", [
+    (1e-3, math.inf), (1e-4, math.inf), (1e-3, 2000.0), (0.02, 1e5)])
+def test_barrier_state_returns_its_partition_sum(eps_beta, barrier):
+    cfg = EngineConfig.natural(eps_beta=eps_beta, barrier_height=barrier)
+    split = split_spectrum(cfg, "formula")
+    rho, z = barrier_thermal_state(split, cfg.temperature, cfg.kb)
+    assert z == split_partition_function(split, cfg.beta)
+    assert rho.dim == 2 * split.count
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +143,12 @@ def test_lowest_doublet_coherence_ratio_is_tanh():
 def engine_lr_state(eps_beta=1e-3):
     cfg = EngineConfig.natural(eps_beta=eps_beta, d_over_l=0.01)
     split = split_spectrum(cfg, "formula")
-    return cfg, split, barrier_thermal_state(split, cfg.temperature, "LR")
+    return cfg, split, barrier_thermal_state(split, cfg.temperature)[0]
 
 
 def test_symmetric_engine_measures_half_half():
-    cfg, _, rho = engine_lr_state()
-    out_l, out_r = measure_side(rho, cfg=cfg)
+    _, _, rho = engine_lr_state()
+    out_l, out_r = measure_side(rho)
     assert abs(out_l.probability - 0.5) < 1e-10
     assert abs(out_r.probability - 0.5) < 1e-10
     assert abs(out_l.probability + out_r.probability - 1.0) < 1e-10
@@ -159,9 +168,10 @@ def test_measurement_drops_entropy_by_one_bit():
     _, _, rho = engine_lr_state()
     out_l, out_r = measure_side(rho)
     s_pre = von_neumann_entropy(rho)
-    assert abs(s_pre - out_l.entropy() - math.log(2.0)) < 1e-6
-    mix = (out_l.probability * out_l.entropy()
-           + out_r.probability * out_r.entropy() + math.log(2.0))
+    s_l = von_neumann_entropy(out_l.post_state)
+    s_r = von_neumann_entropy(out_r.post_state)
+    assert abs(s_pre - s_l - math.log(2.0)) < 1e-6
+    mix = out_l.probability * s_l + out_r.probability * s_r + math.log(2.0)
     assert abs(mix - s_pre) < 1e-6
 
 
@@ -173,18 +183,6 @@ def test_measurement_is_repeatable():
     assert again_r.probability < 1e-10
     assert again_r.post_state is None
     assert np.max(np.abs(again_l.post_state.matrix - out_l.post_state.matrix)) < 1e-10
-
-
-def test_leaky_projector_detected():
-    _, _, rho = engine_lr_state()
-    with pytest.raises(LeakyProjectorError):
-        measure_side(rho, n_pairs=3)
-
-
-def test_projector_rank_condition_enforced():
-    cfg, _, rho = engine_lr_state()
-    with pytest.raises(ValueError):
-        measure_side(rho, n_pairs=100, cfg=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +226,8 @@ def engine_states(request):
     rho_box, _ = thermal_state(box_spectrum(cfg), cfg.temperature)
     return split, {
         "box": rho_box,
-        "energy": barrier_thermal_state(split, cfg.temperature, "energy"),
-        "LR": barrier_thermal_state(split, cfg.temperature, "LR"),
+        "energy": energy_basis_state(split, cfg.temperature),
+        "LR": barrier_thermal_state(split, cfg.temperature)[0],
     }
 
 
@@ -250,7 +248,8 @@ def test_structured_states_match_dense_oracle(engine_states):
             assert outcome.probability == pytest.approx(p, rel=1e-12)
             assert post.distance(outcome.post_state) <= 1e-12 * np.max(post_lam)
             assert_rel_close(outcome.post_state.eigenvalues(), post_lam)
-            assert outcome.entropy() == pytest.approx(post_entropy, rel=1e-12)
+            assert von_neumann_entropy(outcome.post_state) == pytest.approx(
+                post_entropy, rel=1e-12)
 
 
 def test_lr_state_is_rotated_energy_state(engine_states):
@@ -328,10 +327,10 @@ def test_ledger_entropies_match_operator_entropies(ledger):
     # entropies of the measured states
     cfg = EngineConfig.natural(eps_beta=1e-3, d_over_l=0.01)
     split = split_spectrum(cfg, "formula")
-    rho = barrier_thermal_state(split, cfg.temperature, "LR")
+    rho, _ = barrier_thermal_state(split, cfg.temperature)
     out_l, _ = measure_side(rho)
-    assert ledger.entry("measure").entropy == pytest.approx(out_l.entropy(),
-                                                            abs=1e-8)
+    assert ledger.entry("measure").entropy == pytest.approx(
+        von_neumann_entropy(out_l.post_state), abs=1e-8)
     assert ledger.entry("insert-barrier").entropy == pytest.approx(
         von_neumann_entropy(rho), abs=1e-8)
 
@@ -344,6 +343,18 @@ def test_ledger_entropy_finite_when_populations_underflow():
     led = free_energy_ledger(cfg)
     assert math.isfinite(led.entry("measure").entropy)
     assert led.checks.measurement_entropy_drop == pytest.approx(math.log(2.0), abs=1e-6)
+
+
+@pytest.mark.parametrize("cfg", [
+    EngineConfig.natural(eps_beta=1e-3),
+    EngineConfig.natural(eps_beta=2.5e-4, barrier_height=2e4),
+    EngineConfig.natural(eps_beta=1e-3, n_trunc=896),
+    EngineConfig(mass=3.0, box_length=2.0, barrier_width=0.02,
+                 barrier_height=math.inf, temperature=40.0, hbar=2.0, kb=0.5)],
+    ids=["eb1e-3", "eb2.5e-4-U2e4", "n896", "non-natural"])
+def test_ledger_returns_the_box_partition_sum(cfg):
+    _, z = thermal_state(box_spectrum(cfg), cfg.temperature, cfg.kb)
+    assert free_energy_ledger(cfg).z_box == z
 
 
 def test_ledger_rejects_barrier_below_every_doublet():

@@ -365,10 +365,6 @@ class RationalBracket:
     low_realizable: bool
     high_realizable: bool
 
-    @property
-    def width(self) -> Fraction:
-        return self.high - self.low
-
 
 def incommensurate_bound(target: float | Fraction, max_den: int,
                          snap: float = 1e-12) -> RationalBracket:

@@ -256,10 +256,6 @@ class LevelLadder:
     def count(self) -> int:
         return len(self.energies)
 
-    @property
-    def total_states(self) -> int:
-        return sum(self.degeneracies)
-
     def expand(self) -> np.ndarray:
         """Per-state energies, one entry per degeneracy slot."""
         return np.repeat(np.asarray(self.energies), np.asarray(self.degeneracies))

@@ -160,15 +160,6 @@ class SchmidtForm:
     def sys_basis(self) -> list[StateVector]:
         return [StateVector(self.sys_vecs[:, k], self.tols) for k in range(self.rank)]
 
-    def branch_amplitudes(self) -> np.ndarray:
-        """Complex weight of each branch: coeffs * exp(i*phases)."""
-        return self.coeffs * np.exp(1j * self.phases)
-
-    def reconstruct(self) -> BipartitePureState:
-        """Sum over branches of coeff_k e^{i phase_k} |s_k>|e_k>."""
-        amps = (self.sys_vecs * self.branch_amplitudes()) @ self.env_vecs.T
-        return BipartitePureState(amps, self.tols)
-
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:

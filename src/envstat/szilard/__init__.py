@@ -13,9 +13,7 @@ from .engine import (
 from .ledger import (
     ClassicalCycleResult,
     FreeEnergyLedger,
-    LedgerChecks,
     LedgerEntry,
-    SampleLedger,
     classical_ensemble_cycle,
     free_energy_ledger,
 )
@@ -42,10 +40,8 @@ __all__ = [
     "barrier_thermal_state",
     "measure_side",
     "LedgerEntry",
-    "LedgerChecks",
     "FreeEnergyLedger",
     "free_energy_ledger",
-    "SampleLedger",
     "ClassicalCycleResult",
     "classical_ensemble_cycle",
 ]

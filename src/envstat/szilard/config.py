@@ -5,6 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# most levels a config may keep; beyond it the regime is effectively classical
+_LEVEL_BUDGET = 4096
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -14,10 +17,11 @@ class EngineConfig:
     epsilon equal 1, so every number is hand-checkable.  barrier_height may
     be math.inf, which selects the exact two-well limit (zero tunneling
     splitting); every other parameter must be finite and positive, and so
-    must the derived scales epsilon, beta, eps_beta and epsilon_prime.  When
-    n_trunc is omitted it is sized so that the Boltzmann tail beyond the last
-    level is below 1e-12 and the measured pair count satisfies
-    N^2 * eps * beta >= 20.
+    must the derived scales epsilon, beta, eps_beta and epsilon_prime.  No
+    float parameter may be a bool.  When n_trunc is omitted it is sized so
+    that the Boltzmann tail beyond the last level is below 1e-12 and the
+    measured pair count satisfies N^2 * eps * beta >= 20; either way it is
+    an int of at most 4096 levels.
     """
 
     mass: float
@@ -30,6 +34,10 @@ class EngineConfig:
     n_trunc: int | None = None
 
     def __post_init__(self):
+        for name in ("mass", "box_length", "barrier_width", "barrier_height",
+                     "temperature", "hbar", "kb"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, not a bool")
         for name in ("mass", "box_length", "barrier_width", "temperature", "hbar", "kb"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -51,8 +59,12 @@ class EngineConfig:
                     f"derived scale {name} overflows or underflows double precision")
         if self.n_trunc is None:
             object.__setattr__(self, "n_trunc", self._auto_trunc())
-        elif self.n_trunc < 1:
-            raise ValueError("n_trunc must be >= 1")
+        elif not isinstance(self.n_trunc, int) or isinstance(self.n_trunc, bool):
+            raise ValueError(f"n_trunc must be an integer, got {self.n_trunc!r}")
+        elif not 1 <= self.n_trunc <= _LEVEL_BUDGET:
+            raise ValueError(
+                f"n_trunc must lie in 1..{_LEVEL_BUDGET}, the desk-scale level "
+                f"budget; got {self.n_trunc}")
         elif math.exp(-self.eps_beta * self.n_trunc**2) >= 1e-12:
             raise ValueError(
                 "n_trunc too small: exp(-beta*eps*n^2) must fall below 1e-12")
@@ -85,10 +97,10 @@ class EngineConfig:
         tail = math.ceil(math.sqrt(math.log(1e12) / eb)) + 2
         measured = 2 * math.ceil(math.sqrt(20.0 / eb))
         n = max(tail, measured, 2)
-        if n > 4096:
+        if n > _LEVEL_BUDGET:
             raise ValueError(
                 f"eps*beta = {eb:.3e} needs {n} levels, beyond the desk-scale "
-                "budget of 4096; this regime is effectively classical")
+                f"budget of {_LEVEL_BUDGET}; this regime is effectively classical")
         return n
 
     @staticmethod

@@ -2,11 +2,12 @@
 
 The quantum cycle is: insert the barrier isothermally, measure which side,
 expand the piston isothermally, erase the record.  Every state point is
-evaluated from exact partition sums; the closed-form Boltzmann-gas
-relations are carried alongside as checks and only claimed in the
-high-temperature regime.  The classical comparator runs the same cycle on
-sampled point particles, where the free-energy jump happens at insertion
-(for free, against the gas law) instead of at measurement.
+evaluated from exact partition sums, and the ledger entries are the only
+record of the cycle: step differences such as the measurement's Delta A
+are read off them.  The classical comparator samples which side a point
+particle lands on; its free-energy jump happens at insertion (for free,
+against the gas law) instead of at measurement, and is the closed form
+kT ln 2.
 
 Sign conventions: work_on is work done on the gas, heat_in is heat absorbed
 by the gas, so every step obeys dU = heat_in + work_on identically.
@@ -27,15 +28,11 @@ from .spectrum import box_spectrum, split_spectrum
 
 __all__ = [
     "LedgerEntry",
-    "LedgerChecks",
     "FreeEnergyLedger",
     "free_energy_ledger",
-    "SampleLedger",
     "ClassicalCycleResult",
     "classical_ensemble_cycle",
 ]
-
-HIGH_T_EPS_BETA = 0.01  # closed-form comparisons are only claimed below this
 
 
 @dataclass(frozen=True)
@@ -54,34 +51,13 @@ class LedgerEntry:
                 - self.heat_in - self.work_on)
 
 
-@dataclass(frozen=True)
-class LedgerChecks:
-    """Comparisons against the closed-form engine relations.
-
-    The insertion entries compare the Boltzmann-gas accounting (free energy
-    shift ln(L/(L-d)) in kT units, purely the volume effect) against the
-    O(d/L) bound; the exact-sum shift is reported next to it and also
-    carries the spectrum-discreteness offset ~ lambda_dB/(2L), which decays
-    with eps*beta.  regime_ok records whether the high-temperature regime
-    needed by the closed forms holds; outside it the bound is not claimed.
-    """
-
-    regime_ok: bool
-    insertion_delta_a_closed_form: float
-    insertion_bound: float
-    insertion_delta_a_exact: float
-    measurement_delta_a: float
-    measurement_entropy_drop: float
-    expansion_work_classical: float
-    net_extracted_work: float
-    net_with_erasure: float
-
-
 @dataclass(frozen=True, eq=False)
 class FreeEnergyLedger:
     """Per-step ledger of the quantum cycle, measurement included.
 
-    z_box is the bare-box partition sum behind the initial state point.
+    entries are, in order, the initial, insert-barrier, measure, expand and
+    erase state points.  z_box is the bare-box partition sum behind the
+    initial state point.
     """
 
     entries: tuple[LedgerEntry, ...]
@@ -89,13 +65,6 @@ class FreeEnergyLedger:
     p_left: float
     p_right: float
     repeat_left_prob: float
-    checks: LedgerChecks
-
-    def entry(self, step: str) -> LedgerEntry:
-        for e in self.entries:
-            if e.step == step:
-                return e
-        raise KeyError(step)
 
 
 def free_energy_ledger(cfg: EngineConfig,
@@ -157,26 +126,12 @@ def free_energy_ledger(cfg: EngineConfig,
     # as work on the memory and dumped into the bath
     erase = LedgerEntry("erase", a0, s0, u0, kt * math.log(2.0), -kt * math.log(2.0))
 
-    dl = cfg.barrier_width / cfg.box_length
-    checks = LedgerChecks(
-        regime_ok=cfg.eps_beta <= HIGH_T_EPS_BETA,
-        insertion_delta_a_closed_form=kt * math.log(1.0 / (1.0 - dl)),
-        insertion_bound=1.1 * kt * dl,
-        insertion_delta_a_exact=a1 - a0,
-        measurement_delta_a=a2 - a1,
-        measurement_entropy_drop=s1 - s2,
-        expansion_work_classical=kt * math.log(2.0),
-        net_extracted_work=-(insert.work_on + measure.work_on + expand.work_on),
-        net_with_erasure=-(insert.work_on + measure.work_on + expand.work_on
-                           + erase.work_on),
-    )
     return FreeEnergyLedger(
         entries=(start, insert, measure, expand, erase),
         z_box=z0,
         p_left=out_l.probability,
         p_right=out_r.probability,
         repeat_left_prob=repeat_l.probability,
-        checks=checks,
     )
 
 
@@ -184,87 +139,36 @@ def free_energy_ledger(cfg: EngineConfig,
 # classical comparator
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SampleLedger:
-    """Cycle bookkeeping for a single classical molecule.
-
-    Insertion traps the point particle on one side, halving its volume with
-    zero work: the free energy jumps by kT ln 2 against the gas law, and
-    that is where the classical account breaks with the quantum one.
-    Measurement then only reveals the side (no state change), expansion
-    extracts kT ln 2, erasure pays it back; the net is identically zero.
-    """
-
-    insertion_delta_a: float
-    measurement_delta_a: float
-    expansion_work_extracted: float
-    erasure_cost: float
-
-    @property
-    def net_work_extracted(self) -> float:
-        return self.expansion_work_extracted - self.erasure_cost
-
-
 @dataclass(frozen=True, eq=False)
 class ClassicalCycleResult:
-    """Seeded ensemble of classical cycles plus the observer-level ledger.
-
-    ensemble_insertion_delta_a folds the observer's ignorance entropy ln 2
-    into the macrostate free energy, which cancels the per-sample jump; the
-    jump then reappears at measurement when the ignorance collapses.  The
-    contrast fields set quantum against classical at the insertion step.
-    """
+    """How many of the seeded molecule positions landed on the left."""
 
     samples: int
     seed: int
     left_count: int
-    per_sample: SampleLedger
-    ensemble_insertion_delta_a: float
-    ensemble_measurement_delta_a: float
-    quantum_insertion_delta_a: float
-    classical_insertion_delta_a: float
 
     @property
     def left_fraction(self) -> float:
         return self.left_count / self.samples
 
-    @property
-    def insertion_contrast(self) -> bool:
-        """True when the classical insertion jump dwarfs the quantum one."""
-        return self.classical_insertion_delta_a > 10.0 * abs(self.quantum_insertion_delta_a)
-
 
 def classical_ensemble_cycle(cfg: EngineConfig, samples: int,
                              seed: int) -> ClassicalCycleResult:
-    """Uniformly sampled molecule positions run through the classical cycle.
+    """Sample uniform molecule positions in [0, L) and count the left side.
 
-    Each sample lands uniformly in [0, L); the partition traps it on the
-    side it occupies.  The partition is treated as ideally thin for the
-    classical account (volume exactly halves), matching the gas-law
-    idealization the cycle is scored against.
+    The partition traps each classical molecule on the side it occupies,
+    halving its volume with no work, so every per-sample ledger entry is
+    the closed form kT ln 2 or zero, and the classical-cycle report writes
+    it out without sampling.  The sample decides only which side each
+    molecule is on; its left fraction is the comparator's one measured
+    number.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, cfg.box_length, size=samples)
-    left_count = int(np.sum(x < cfg.box_length / 2.0))
-
-    kt = cfg.kb * cfg.temperature
-    ln2 = math.log(2.0)
-    per_sample = SampleLedger(
-        insertion_delta_a=kt * ln2,
-        measurement_delta_a=0.0,
-        expansion_work_extracted=kt * ln2,
-        erasure_cost=kt * ln2,
-    )
-    dl = cfg.barrier_width / cfg.box_length
     return ClassicalCycleResult(
         samples=samples,
         seed=seed,
-        left_count=left_count,
-        per_sample=per_sample,
-        ensemble_insertion_delta_a=kt * ln2 - kt * ln2,  # jump minus ignorance
-        ensemble_measurement_delta_a=kt * ln2,
-        quantum_insertion_delta_a=kt * math.log(1.0 / (1.0 - dl)),
-        classical_insertion_delta_a=kt * ln2,
+        left_count=int(np.sum(x < cfg.box_length / 2.0)),
     )

@@ -1,12 +1,16 @@
 """CLI contracts: exit codes, determinism, config handling, schemas."""
 
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from envstat.cli import main
+from envstat.scenarios import resolve_config, run_scenario
 
 
 def run_cli(args, capsys):
@@ -64,6 +68,7 @@ def test_negative_length_is_config_error(capsys, tmp_path):
     ["quantum-cycle", "--T", "0.005"],  # the box sum survives, the doublet sum underflows
     ["quantum-cycle", "--L", "1e160"],  # L^2 overflows in epsilon
     ["spectrum-split", "--L", "1e200"],
+    ["quantum-cycle", "--n-trunc", "4097"],  # past the 4096-level budget
 ])
 def test_invalid_engine_input_fails_closed(capsys, tmp_path, flags):
     out_path = tmp_path / "never.json"
@@ -74,12 +79,22 @@ def test_invalid_engine_input_fails_closed(capsys, tmp_path, flags):
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("engine,scale", [
-    ({"hbar": 1e200}, "epsilon"),  # hbar^2 overflows
-    ({"kb": 1e300, "temperature": 1e10}, "beta"),  # kT overflows, so beta = 0
-    ({"kb": 1e-300, "temperature": 1e-300}, "beta"),  # kT underflows to 0
-], ids=["hbar-overflow", "kt-overflow", "kt-underflow"])
-def test_config_file_with_overflowing_scales_fails_closed(capsys, tmp_path, engine, scale):
+@pytest.mark.parametrize("engine,reason", [
+    ({"hbar": 1e200},  # hbar^2 overflows
+     "derived scale epsilon overflows or underflows double precision"),
+    ({"kb": 1e300, "temperature": 1e10},  # kT overflows, so beta = 0
+     "derived scale beta overflows or underflows double precision"),
+    ({"kb": 1e-300, "temperature": 1e-300},  # kT underflows to 0
+     "derived scale beta overflows or underflows double precision"),
+    ({"n_trunc": 900.5}, "n_trunc must be an integer, got 900.5"),
+    ({"n_trunc": True}, "n_trunc must be an integer, got True"),
+    ({"n_trunc": 100_000_000},
+     "n_trunc must lie in 1..4096, the desk-scale level budget; got 100000000"),
+    ({"temperature": True}, "temperature must be a number, not a bool"),
+    ({"barrier_height": False}, "barrier_height must be a number, not a bool"),
+], ids=["hbar-overflow", "kt-overflow", "kt-underflow", "n-trunc-float",
+        "n-trunc-bool", "n-trunc-huge", "temperature-bool", "barrier-bool"])
+def test_config_file_with_overflowing_scales_fails_closed(capsys, tmp_path, engine, reason):
     cfg = tmp_path / "engine.json"
     cfg.write_text(json.dumps({"engine": engine}))
     out_path = tmp_path / "never.json"
@@ -87,9 +102,7 @@ def test_config_file_with_overflowing_scales_fails_closed(capsys, tmp_path, engi
         ["quantum-cycle", "--config", str(cfg), "--out", str(out_path)], capsys)
     assert code == 2
     assert out == ""
-    assert err.splitlines() == [
-        f"config error: invalid engine config: derived scale {scale} "
-        "overflows or underflows double precision"]
+    assert err.splitlines() == [f"config error: invalid engine config: {reason}"]
     assert not out_path.exists()
 
 
@@ -165,6 +178,18 @@ def test_check_failure_exits_one(capsys, tmp_path):
     code, _, err = run_cli(["classical-cycle", "--config", str(cfg)], capsys)
     assert code == 1
     assert "FAILED: left_fraction" in err
+
+
+# temperatures log-uniform from 1e3 up to 2e5, where the default engine
+# reaches the 4096-level budget: every check there is in regime, so a
+# failure would be a defect (a check that only rounding can fail, say)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(temperature=st.floats(math.log(1e3), math.log(2e5)).map(math.exp))
+def test_cycles_pass_every_check_at_in_regime_temperatures(temperature):
+    for scenario in ("quantum-cycle", "classical-cycle"):
+        report = run_scenario(resolve_config(
+            {"scenario": scenario, "engine": {"temperature": temperature}}))
+        assert [c.name for c in report.checks if not c.passed] == []
 
 
 # ---------------------------------------------------------------------------

@@ -256,13 +256,14 @@ def test_bracket_irrational_matches_exhaustive_scan():
     low, high = _scan_oracle(target, 100)
     assert (b.low, b.high) == (low, high)
     assert b.low <= Fraction(target) <= b.high
-    assert float(b.width) <= 0.02
+    assert float(b.high - b.low) <= 0.02
     assert b.low_realizable and b.high_realizable
 
 
 def test_bracket_width_shrinks_with_denominator():
     target = 1.0 / math.pi
-    widths = [float(incommensurate_bound(target, q).width) for q in (5, 10, 20, 50, 100)]
+    brackets = [incommensurate_bound(target, q) for q in (5, 10, 20, 50, 100)]
+    widths = [float(b.high - b.low) for b in brackets]
     assert all(b <= a for a, b in zip(widths, widths[1:]))
 
 

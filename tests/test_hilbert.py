@@ -129,7 +129,8 @@ def test_schmidt_reconstruction_and_idempotence():
     for trial in range(10):
         st = random_bipartite_state(3, 5, RNG)
         form = schmidt(st)
-        rebuilt = form.reconstruct()
+        amps = (form.sys_vecs * form.coeffs * np.exp(1j * form.phases)) @ form.env_vecs.T
+        rebuilt = BipartitePureState(amps)
         assert rebuilt.distance(st) < 1e-10
         again = schmidt(rebuilt)
         assert np.allclose(again.coeffs, form.coeffs, atol=1e-10)

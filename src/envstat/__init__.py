@@ -11,7 +11,5 @@ report-emitting scenarios.
 __version__ = "0.1.0"
 
 from . import envariance, equilibrium, hilbert, szilard
-from .tolerances import DEFAULT_TOLS, Tolerances
 
-__all__ = ["hilbert", "envariance", "equilibrium", "szilard",
-           "Tolerances", "DEFAULT_TOLS", "__version__"]
+__all__ = ["hilbert", "envariance", "equilibrium", "szilard", "__version__"]

@@ -11,7 +11,7 @@ kept as exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
@@ -31,7 +31,7 @@ from .hilbert import (
     apply_local,
     schmidt,
 )
-from .tolerances import DEFAULT_TOLS, Tolerances
+from .tolerances import DECOMPOSITION, EVENNESS, PHYSICS
 
 __all__ = [
     "PhaseShift",
@@ -62,7 +62,6 @@ class PhaseShift:
 
     phases: tuple[float, ...]
     basis: tuple[StateVector, ...]
-    tols: Tolerances = field(default=DEFAULT_TOLS, repr=False)
 
     def __post_init__(self):
         if len(self.phases) != len(self.basis):
@@ -71,7 +70,7 @@ class PhaseShift:
         object.__setattr__(self, "basis", tuple(self.basis))
         vecs = np.column_stack([b.amps for b in self.basis])
         gram = vecs.conj().T @ vecs
-        if np.max(np.abs(gram - np.eye(len(self.basis)))) > self.tols.decomposition:
+        if np.max(np.abs(gram - np.eye(len(self.basis)))) > DECOMPOSITION:
             raise BasisMismatchError("phase-shift basis must be orthonormal")
 
     def to_unitary(self) -> UnitaryOperator:
@@ -79,7 +78,7 @@ class PhaseShift:
         vecs = np.column_stack([b.amps for b in self.basis])
         proj = vecs @ vecs.conj().T
         rot = (vecs * np.exp(1j * np.asarray(self.phases))) @ vecs.conj().T
-        return UnitaryOperator(np.eye(dim) - proj + rot, self.tols)
+        return UnitaryOperator(np.eye(dim) - proj + rot)
 
 
 @dataclass(frozen=True)
@@ -127,7 +126,6 @@ def countershift_for(state: BipartitePureState, shift: PhaseShift,
     Raises BasisMismatchError otherwise: a misaligned phase shift admits no
     exact countershift, which is precisely what makes such phases physical.
     """
-    tols = state.tols
     if form is None:
         form = schmidt(state)
     if shift.basis[0].dim != state.dim_sys:
@@ -139,9 +137,9 @@ def countershift_for(state: BipartitePureState, shift: PhaseShift,
     for phase, vec in zip(shift.phases, shift.basis):
         b = vec.amps
         lam = float(np.real(b.conj() @ rho @ b))
-        if lam <= tols.physics:
+        if lam <= PHYSICS:
             continue  # no weight on this vector; the shift cannot act on the state
-        if np.linalg.norm(rho @ b - lam * b) > tols.physics:
+        if np.linalg.norm(rho @ b - lam * b) > PHYSICS:
             raise BasisMismatchError(
                 "phase-shift basis is not aligned with the Schmidt structure")
         eta = state.amps.T @ b.conj()  # unnormalized environment partner
@@ -151,17 +149,17 @@ def countershift_for(state: BipartitePureState, shift: PhaseShift,
     if partners:
         pvecs = np.column_stack(partners)
         gram = pvecs.conj().T @ pvecs
-        if np.max(np.abs(gram - np.eye(len(partners)))) > tols.physics:
+        if np.max(np.abs(gram - np.eye(len(partners)))) > PHYSICS:
             raise BasisMismatchError(
                 "environment partners of the shifted vectors are not orthogonal")
         proj = pvecs @ pvecs.conj().T
         rot = (pvecs * np.exp(-1j * np.asarray(kept_phases))) @ pvecs.conj().T
-        u_env = UnitaryOperator(np.eye(state.dim_env) - proj + rot, tols)
+        u_env = UnitaryOperator(np.eye(state.dim_env) - proj + rot)
     else:
-        u_env = UnitaryOperator.identity(state.dim_env, tols)
+        u_env = UnitaryOperator.identity(state.dim_env)
 
     shifted = apply_local(state, shift.to_unitary(), "S")
-    if apply_local(shifted, u_env, "E").distance(state) > tols.decomposition:
+    if apply_local(shifted, u_env, "E").distance(state) > DECOMPOSITION:
         raise BasisMismatchError("constructed countershift fails to restore the state")
     return u_env
 
@@ -170,8 +168,7 @@ def countershift_for(state: BipartitePureState, shift: PhaseShift,
 # swaps and counterswaps
 # ---------------------------------------------------------------------------
 
-def swap_unitary(form: SchmidtForm, swap: SwapSpec, dim: int,
-                 tols: Tolerances = DEFAULT_TOLS) -> UnitaryOperator:
+def swap_unitary(form: SchmidtForm, swap: SwapSpec, dim: int) -> UnitaryOperator:
     """System-side permutation of the listed Schmidt branches."""
     _check_pairs(form, swap)
     if form.sys_vecs.shape[0] != dim:
@@ -183,7 +180,7 @@ def swap_unitary(form: SchmidtForm, swap: SwapSpec, dim: int,
         sk, sl = vecs[:, k], vecs[:, l]
         u = u - np.outer(sk, sk.conj()) - np.outer(sl, sl.conj()) \
             + np.outer(sl, sk.conj()) + np.outer(sk, sl.conj())
-    return UnitaryOperator(u, tols)
+    return UnitaryOperator(u)
 
 
 def counterswap_for(state: BipartitePureState, swap: SwapSpec,
@@ -195,13 +192,12 @@ def counterswap_for(state: BipartitePureState, swap: SwapSpec,
     Branch phases are compensated, so the pair (swap, counterswap) restores
     the composite exactly for an even state with arbitrary phases.
     """
-    tols = state.tols
     if form is None:
         form = schmidt(state)
     _check_pairs(form, swap)
     c2 = form.coeffs**2
     for k, l in swap.pairs:
-        if abs(c2[k] - c2[l]) > tols.evenness * max(c2[k], c2[l]):
+        if abs(c2[k] - c2[l]) > EVENNESS * max(c2[k], c2[l]):
             raise NotEvenError(
                 f"branches {k} and {l} carry weights {c2[k]:.3e} != {c2[l]:.3e}; "
                 "swap plus counterswap would not restore the state")
@@ -226,7 +222,7 @@ def _mirrored_permutation(state: BipartitePureState, form: SchmidtForm,
         u = u - np.outer(ek, ek.conj()) - np.outer(el, el.conj()) \
             + np.exp(1j * (ph[l] - ph[k])) * np.outer(el, ek.conj()) \
             + np.exp(1j * (ph[k] - ph[l])) * np.outer(ek, el.conj())
-    return UnitaryOperator(u, state.tols)
+    return UnitaryOperator(u)
 
 
 def equal_probability_certificate(state: BipartitePureState, k: int, l: int,
@@ -244,13 +240,13 @@ def equal_probability_certificate(state: BipartitePureState, k: int, l: int,
         return True
     swap = SwapSpec(pairs=((k, l),))
     _check_pairs(form, swap)
-    u_sys = swap_unitary(form, swap, state.dim_sys, state.tols)
+    u_sys = swap_unitary(form, swap, state.dim_sys)
     u_env = _mirrored_permutation(state, form, swap)
     restored = apply_local(apply_local(state, u_sys, "S"), u_env, "E")
-    return restored.distance(state) <= state.tols.decomposition
+    return restored.distance(state) <= DECOMPOSITION
 
 
-def all_pairs_certified(form: SchmidtForm, tols: Tolerances = DEFAULT_TOLS) -> bool:
+def all_pairs_certified(form: SchmidtForm) -> bool:
     """Whether every branch pair of `form` passes the swap certificate.
 
     Uses the exact algebra of the certificate: for branch weights c_k the
@@ -260,7 +256,7 @@ def all_pairs_certified(form: SchmidtForm, tols: Tolerances = DEFAULT_TOLS) -> b
     if form.rank < 2:
         return True
     spread = float(form.coeffs[0] - form.coeffs[-1])
-    return np.sqrt(2.0) * spread <= tols.decomposition
+    return np.sqrt(2.0) * spread <= DECOMPOSITION
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +285,7 @@ class FinegrainResult:
         return len(self.branch_labels)
 
 
-def finegrain_born_rule(spec: FinegrainSpec,
-                        tols: Tolerances = DEFAULT_TOLS) -> FinegrainResult:
+def finegrain_born_rule(spec: FinegrainSpec) -> FinegrainResult:
     """Split a two-outcome state with weights mu, nu into equal branches.
 
     Builds mu + nu equal-amplitude branches, each pair of which passes the
@@ -315,19 +310,18 @@ def finegrain_born_rule(spec: FinegrainSpec,
         sys_vecs[row, k] = 1.0
         labels.append((outcome, k, k))
 
-    state = BipartitePureState(amps, tols)
+    state = BipartitePureState(amps)
     form = SchmidtForm(
         coeffs=np.full(total, coeff),
         phases=np.zeros(total),
         sys_vecs=sys_vecs,
         env_vecs=np.eye(total, dtype=np.complex128),
         degenerate=total > 1,
-        tols=tols,
     )
 
     alpha = np.sqrt(spec.mu / total)
     beta = np.sqrt(spec.nu / total)
-    coarse = BipartitePureState(np.diag([alpha, beta]).astype(np.complex128), tols)
+    coarse = BipartitePureState(np.diag([alpha, beta]).astype(np.complex128))
 
     return FinegrainResult(
         state=state,

@@ -12,7 +12,7 @@ Gibbs weights into an entangled pure state.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .hilbert import (
     haar_unitary,
     partial_trace_env,
 )
-from .tolerances import DEFAULT_TOLS, Tolerances
+from .tolerances import DECOMPOSITION, PHYSICS
 
 __all__ = [
     "EvenState",
@@ -58,23 +58,21 @@ class EvenState:
     sys_vecs: np.ndarray
     env_vecs: np.ndarray
     state: BipartitePureState
-    tols: Tolerances = field(default=DEFAULT_TOLS, repr=False)
 
     def __post_init__(self):
         k = self.rank
-        tol = self.tols
         if self.sys_vecs.shape[1] != k or self.env_vecs.shape[1] != k:
             raise DimensionMismatchError("need one branch vector per rank")
         if len(self.phases) != k:
             raise DimensionMismatchError("need one phase per branch")
         for vecs, side in ((self.sys_vecs, "system"), (self.env_vecs, "environment")):
             gram = vecs.conj().T @ vecs
-            if np.max(np.abs(gram - np.eye(k))) > tol.decomposition:
+            if np.max(np.abs(gram - np.eye(k))) > DECOMPOSITION:
                 raise InvalidStateError(f"{side} branch vectors are not orthonormal")
         # reduced operator must be the normalized projector on the branch span
         proj = self.sys_vecs @ self.sys_vecs.conj().T
         rho = self.state.amps @ self.state.amps.conj().T
-        if np.max(np.abs(rho - proj / k)) > tol.decomposition:
+        if np.max(np.abs(rho - proj / k)) > DECOMPOSITION:
             raise InvalidStateError("branch weights are not all equal to 1/sqrt(K)")
         for name in ("phases", "sys_vecs", "env_vecs"):
             arr = np.ascontiguousarray(getattr(self, name))
@@ -98,8 +96,7 @@ def make_even_state(rank: int,
                     dim_sys: int | None = None,
                     dim_env: int | None = None,
                     seed_bases: tuple[np.ndarray, np.ndarray] | None = None,
-                    rng: np.random.Generator | int | None = None,
-                    tols: Tolerances = DEFAULT_TOLS) -> EvenState:
+                    rng: np.random.Generator | int | None = None) -> EvenState:
     """Even state of given rank, optionally with prescribed branch bases.
 
     Without `seed_bases`, branch bases are drawn from the unitary-invariant
@@ -122,13 +119,13 @@ def make_even_state(rank: int,
     else:
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
-        sys_vecs = haar_unitary(dim_sys, rng, tols).matrix[:, :rank]
-        env_vecs = haar_unitary(dim_env, rng, tols).matrix[:, :rank]
+        sys_vecs = haar_unitary(dim_sys, rng).matrix[:, :rank]
+        env_vecs = haar_unitary(dim_env, rng).matrix[:, :rank]
 
     weights = np.exp(1j * phases) / np.sqrt(rank)
     amps = (sys_vecs * weights) @ env_vecs.T
-    state = BipartitePureState(amps, tols)
-    return EvenState(rank, phases, sys_vecs, env_vecs, state, tols)
+    state = BipartitePureState(amps)
+    return EvenState(rank, phases, sys_vecs, env_vecs, state)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +142,6 @@ def counter_evolution_for(even: EvenState, u_sys: UnitaryOperator) -> UnitaryOpe
     e^{-i phi_l} et_l (identity elsewhere) then restores the composite
     exactly.  Raises SubspaceEscapeError when u_sys leaks outside the span.
     """
-    tols = even.tols
     if u_sys.dim != even.dim_sys:
         raise DimensionMismatchError("system unitary has the wrong dimension")
 
@@ -153,7 +149,7 @@ def counter_evolution_for(even: EvenState, u_sys: UnitaryOperator) -> UnitaryOpe
     rotated = u_sys.matrix @ s
     # block-preservation: the rotated branch vectors must stay in the span
     leak = rotated - s @ (s.conj().T @ rotated)
-    if np.linalg.norm(leak) > tols.physics * max(np.linalg.norm(rotated), 1.0):
+    if np.linalg.norm(leak) > PHYSICS * max(np.linalg.norm(rotated), 1.0):
         raise SubspaceEscapeError(
             "unitary maps the even subspace outside itself; no counter-evolution")
 
@@ -161,7 +157,7 @@ def counter_evolution_for(even: EvenState, u_sys: UnitaryOperator) -> UnitaryOpe
     weights = np.exp(1j * even.phases)
     partners = even.env_vecs @ (overlaps * weights).T    # column l = et_l
     gram = partners.conj().T @ partners
-    if np.max(np.abs(gram - np.eye(even.rank))) > tols.decomposition:
+    if np.max(np.abs(gram - np.eye(even.rank))) > DECOMPOSITION:
         raise SubspaceEscapeError(
             "rotated environment partners failed the orthonormality check")
 
@@ -169,10 +165,10 @@ def counter_evolution_for(even: EvenState, u_sys: UnitaryOperator) -> UnitaryOpe
     mapped = partners * np.exp(-1j * even.phases)
     u_env = np.eye(even.dim_env, dtype=np.complex128) - e @ e.conj().T \
         + mapped @ e.conj().T
-    out = UnitaryOperator(u_env, tols)
+    out = UnitaryOperator(u_env)
 
     moved = apply_local(even.state, u_sys, "S")
-    if apply_local(moved, out, "E").distance(even.state) > tols.decomposition:
+    if apply_local(moved, out, "E").distance(even.state) > DECOMPOSITION:
         raise SubspaceEscapeError("constructed counter-evolution failed to restore")
     return out
 
@@ -372,8 +368,7 @@ def canonical_by_counting(system: LevelLadder, bath: LevelLadder,
 # ---------------------------------------------------------------------------
 
 def thermal_purification(system: LevelLadder, beta: float,
-                         check_tail: bool = False,
-                         tols: Tolerances = DEFAULT_TOLS) -> BipartitePureState:
+                         check_tail: bool = False) -> BipartitePureState:
     """Pure entangled state whose reduced operator is the Gibbs state.
 
     Each retained level k (degeneracy slots expanded) contributes a branch
@@ -392,4 +387,4 @@ def thermal_purification(system: LevelLadder, beta: float,
         raise TruncationError(
             f"last retained Boltzmann weight {w[-1] / z:.3e} of Z is not < 1e-12")
     amps = np.diag(np.sqrt(w / z)).astype(np.complex128)
-    return BipartitePureState(amps, tols)
+    return BipartitePureState(amps)

@@ -2,9 +2,10 @@
 
 States, operators, tensor products, partial traces, Schmidt decomposition,
 von Neumann entropy and Haar-random unitaries.  All containers are
-immutable after construction and validated against the shared tolerance
-record; every operation is a pure function, so instances are safe to share
-between threads.
+immutable after construction and validated against the package's fixed
+tolerances (`envstat.tolerances`), which no caller can change; every
+operation is a pure function, so instances are safe to share between
+threads.
 
 Dimensions are desk scale (a few thousand at most), so these containers
 are dense complex128, with no sparse or tensor-network representations.
@@ -16,12 +17,12 @@ build a dense matrix only on request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidStateError
-from .tolerances import DEFAULT_TOLS, Tolerances
+from .tolerances import CONSTRUCTION, DECOMPOSITION
 
 __all__ = [
     "StateVector",
@@ -57,14 +58,13 @@ class StateVector:
     """Normalized complex amplitude vector."""
 
     amps: np.ndarray
-    tols: Tolerances = field(default=DEFAULT_TOLS, repr=False)
 
     def __post_init__(self):
         amps = _as_complex(self.amps)
         if amps.ndim != 1 or amps.size == 0:
             raise InvalidStateError("state vector must be a nonempty 1-d array")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > self.tols.construction:
+        if abs(norm - 1.0) > CONSTRUCTION:
             raise InvalidStateError(f"state vector norm {norm} is not 1")
         object.__setattr__(self, "amps", _freeze(amps))
 
@@ -87,14 +87,13 @@ class BipartitePureState:
     """
 
     amps: np.ndarray
-    tols: Tolerances = field(default=DEFAULT_TOLS, repr=False)
 
     def __post_init__(self):
         amps = _as_complex(self.amps)
         if amps.ndim != 2 or amps.size == 0:
             raise InvalidStateError("bipartite amplitudes must be a 2-d matrix")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > self.tols.construction:
+        if abs(norm - 1.0) > CONSTRUCTION:
             raise InvalidStateError(f"bipartite state norm {norm} is not 1")
         object.__setattr__(self, "amps", _freeze(amps))
 
@@ -130,22 +129,20 @@ class SchmidtForm:
     sys_vecs: np.ndarray
     env_vecs: np.ndarray
     degenerate: bool
-    tols: Tolerances = field(default=DEFAULT_TOLS, repr=False)
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=np.float64)
         phases = np.asarray(self.phases, dtype=np.float64)
         sys_vecs = _as_complex(self.sys_vecs)
         env_vecs = _as_complex(self.env_vecs)
-        tol = self.tols
         rank = coeffs.shape[0]
-        if np.any(coeffs < 0) or np.any(np.diff(coeffs) > tol.decomposition):
+        if np.any(coeffs < 0) or np.any(np.diff(coeffs) > DECOMPOSITION):
             raise InvalidStateError("Schmidt coefficients must be nonnegative, descending")
-        if abs(np.sum(coeffs**2) - 1.0) > tol.decomposition:
+        if abs(np.sum(coeffs**2) - 1.0) > DECOMPOSITION:
             raise InvalidStateError("squared Schmidt coefficients must sum to 1")
         for vecs in (sys_vecs, env_vecs):
             gram = vecs.conj().T @ vecs
-            if np.max(np.abs(gram - np.eye(rank))) > tol.decomposition:
+            if np.max(np.abs(gram - np.eye(rank))) > DECOMPOSITION:
                 raise InvalidStateError("Schmidt branch vectors must be orthonormal")
         object.__setattr__(self, "coeffs", _freeze(coeffs))
         object.__setattr__(self, "phases", _freeze(phases))
@@ -158,7 +155,7 @@ class SchmidtForm:
 
     @property
     def sys_basis(self) -> list[StateVector]:
-        return [StateVector(self.sys_vecs[:, k], self.tols) for k in range(self.rank)]
+        return [StateVector(self.sys_vecs[:, k]) for k in range(self.rank)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,20 +163,18 @@ class DensityOperator:
     """Hermitian, positive semidefinite, unit-trace matrix."""
 
     matrix: np.ndarray
-    tols: Tolerances = field(default=DEFAULT_TOLS, repr=False)
 
     def __post_init__(self):
         m = _as_complex(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidStateError("density operator must be square")
-        tol = self.tols
-        if np.max(np.abs(m - m.conj().T)) > tol.construction:
+        if np.max(np.abs(m - m.conj().T)) > CONSTRUCTION:
             raise InvalidStateError("density operator must be Hermitian")
         tr = np.trace(m).real
-        if abs(tr - 1.0) > tol.decomposition:
+        if abs(tr - 1.0) > DECOMPOSITION:
             raise InvalidStateError(f"density operator trace {tr} is not 1")
         lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < -tol.decomposition:
+        if lo < -DECOMPOSITION:
             raise InvalidStateError(f"density operator has eigenvalue {lo} < 0")
         object.__setattr__(self, "matrix", _freeze(m))
 
@@ -203,14 +198,13 @@ class UnitaryOperator:
     """Matrix with U^dagger U = 1 within the decomposition tolerance."""
 
     matrix: np.ndarray
-    tols: Tolerances = field(default=DEFAULT_TOLS, repr=False)
 
     def __post_init__(self):
         m = _as_complex(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidStateError("unitary must be square")
         dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-        if dev > self.tols.decomposition:
+        if dev > DECOMPOSITION:
             raise InvalidStateError(f"operator fails unitarity by {dev}")
         object.__setattr__(self, "matrix", _freeze(m))
 
@@ -219,8 +213,8 @@ class UnitaryOperator:
         return self.matrix.shape[0]
 
     @staticmethod
-    def identity(dim: int, tols: Tolerances = DEFAULT_TOLS) -> UnitaryOperator:
-        return UnitaryOperator(np.eye(dim, dtype=np.complex128), tols)
+    def identity(dim: int) -> UnitaryOperator:
+        return UnitaryOperator(np.eye(dim, dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +223,7 @@ class UnitaryOperator:
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Composite |a> x |b>; index (j, k) flattens to j*b.dim + k."""
-    return StateVector(np.kron(a.amps, b.amps), a.tols)
+    return StateVector(np.kron(a.amps, b.amps))
 
 
 def schmidt(state: BipartitePureState) -> SchmidtForm:
@@ -240,10 +234,8 @@ def schmidt(state: BipartitePureState) -> SchmidtForm:
     retained coefficient is real nonnegative and both bases follow a
     largest-component-real-positive convention.
     """
-    tols = state.tols
-    tol = tols.decomposition
     u, s, vh = np.linalg.svd(state.amps, full_matrices=False)
-    rank = max(int(np.sum(s > tol)), 1)
+    rank = max(int(np.sum(s > DECOMPOSITION)), 1)
     coeffs = s[:rank].astype(np.float64)
     sys_vecs = u[:, :rank].copy()
     env_vecs = vh[:rank, :].T.copy()  # amps = sum_k s_k sys[:,k] env[:,k]^T
@@ -259,18 +251,18 @@ def schmidt(state: BipartitePureState) -> SchmidtForm:
         env_vecs[:, k] *= np.exp(-1j * ph)
         phases[k] = ph
 
-    degenerate = bool(rank > 1 and np.any(-np.diff(coeffs) < tol))
-    return SchmidtForm(coeffs, phases, sys_vecs, env_vecs, degenerate, tols)
+    degenerate = bool(rank > 1 and np.any(-np.diff(coeffs) < DECOMPOSITION))
+    return SchmidtForm(coeffs, phases, sys_vecs, env_vecs, degenerate)
 
 
 def partial_trace_env(state: BipartitePureState) -> DensityOperator:
     """Reduced operator of the system: Tr_E |Psi><Psi| = A A^dagger."""
-    return DensityOperator(state.amps @ state.amps.conj().T, state.tols)
+    return DensityOperator(state.amps @ state.amps.conj().T)
 
 
 def partial_trace_sys(state: BipartitePureState) -> DensityOperator:
     """Reduced operator of the environment: Tr_S |Psi><Psi| = A^T A^*."""
-    return DensityOperator(state.amps.T @ state.amps.conj(), state.tols)
+    return DensityOperator(state.amps.T @ state.amps.conj())
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
@@ -302,19 +294,18 @@ def apply_local(state: BipartitePureState, u: UnitaryOperator, side: str) -> Bip
         amps = state.amps @ u.matrix.T
     else:
         raise ValueError(f"side must be 'S' or 'E', got {side!r}")
-    return BipartitePureState(amps, state.tols)
+    return BipartitePureState(amps)
 
 
 # ---------------------------------------------------------------------------
 # seeded random unitaries
 # ---------------------------------------------------------------------------
 
-def haar_unitary(dim: int, rng: np.random.Generator,
-                 tols: Tolerances = DEFAULT_TOLS) -> UnitaryOperator:
+def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryOperator:
     """Haar-distributed unitary from QR of a complex Gaussian matrix."""
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     # fix the R diagonal phases so the distribution is exactly Haar
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
-    return UnitaryOperator(q, tols)
+    return UnitaryOperator(q)

@@ -3,7 +3,9 @@
 Each scenario resolves its configuration (file plus flag overrides, with
 per-scenario defaults), runs deterministically from the configured seeds,
 and returns a RunReport whose resolved config is embedded, so any report
-can be re-run from its own config block and reproduce itself.
+can be re-run from its own config block and reproduce itself.  The
+embedded block echoes the package's fixed tolerances; a config may restate
+them but not change them.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import __version__, envariance as env, equilibrium as eq, hilbert as hb
+from . import __version__, envariance as env, equilibrium as eq, hilbert as hb, tolerances as tol
 from .errors import ConfigError, RegimeError
 from .report import DataTable, RunReport
 from .szilard import (
@@ -28,7 +30,6 @@ from .szilard import (
     thermal_state,
     z_boltzmann_gas,
 )
-from .tolerances import DEFAULT_TOLS, Tolerances
 
 __all__ = ["SCENARIOS", "ScenarioConfig", "resolve_config", "run_scenario"]
 
@@ -36,7 +37,10 @@ DEFAULT_SEED = 12345
 
 _ENGINE_KEYS = ("mass", "box_length", "barrier_width", "barrier_height",
                 "temperature", "hbar", "kb", "n_trunc")
-_TOL_KEYS = ("construction", "decomposition", "physics", "evenness")
+# a config may restate the fixed tolerances, so every report reruns from its
+# echoed config, but never change them
+_TOLERANCES = {"construction": tol.CONSTRUCTION, "decomposition": tol.DECOMPOSITION,
+               "physics": tol.PHYSICS, "evenness": tol.EVENNESS}
 
 # engine defaults per scenario; spectrum-split needs a finite barrier
 _ENGINE_DEFAULTS = {
@@ -64,7 +68,6 @@ class ScenarioConfig:
     scenario: str
     seeds: tuple[int, ...]
     engine: EngineConfig
-    tols: Tolerances
     params: dict
     output_path: str | None
     output_format: str
@@ -74,7 +77,7 @@ class ScenarioConfig:
             "scenario": self.scenario,
             "seeds": list(self.seeds),
             "engine": {k: getattr(self.engine, k) for k in _ENGINE_KEYS},
-            "tolerances": {k: getattr(self.tols, k) for k in _TOL_KEYS},
+            "tolerances": dict(_TOLERANCES),
             "params": dict(sorted(self.params.items())),
             "output": {"path": self.output_path, "format": self.output_format},
         }
@@ -117,11 +120,11 @@ def resolve_config(raw: dict) -> ScenarioConfig:
         raise ConfigError(f"invalid engine config: {exc}") from exc
 
     tol_raw = dict(raw.get("tolerances", {}))
-    _reject_unknown("tolerances", tol_raw, _TOL_KEYS)
-    try:
-        tols = DEFAULT_TOLS.replace(**tol_raw)
-    except TypeError as exc:
-        raise ConfigError(f"invalid tolerances: {exc}") from exc
+    _reject_unknown("tolerances", tol_raw, _TOLERANCES)
+    for key, value in tol_raw.items():
+        if value != _TOLERANCES[key]:
+            raise ConfigError(
+                f"tolerance {key} is fixed at {_TOLERANCES[key]:g}; got {value!r}")
 
     params_raw = dict(raw.get("params", {}))
     if scenario == "full-suite":
@@ -146,7 +149,6 @@ def resolve_config(raw: dict) -> ScenarioConfig:
         scenario=scenario,
         seeds=tuple(seeds),
         engine=engine,
-        tols=tols,
         params=params,
         output_path=output_raw.get("path"),
         output_format=fmt,
@@ -176,40 +178,38 @@ def _new_report(cfg: ScenarioConfig, scenario: str | None = None) -> RunReport:
 def run_envariance_check(cfg: ScenarioConfig) -> RunReport:
     """Phase and swap envariance on seeded even and uneven states."""
     rep = _new_report(cfg, "envariance-check")
-    tols = cfg.tols
     rank = cfg.params["rank"]
     rng = np.random.default_rng([cfg.seeds[0], 1])
 
-    even = eq.make_even_state(rank, phases=rng.uniform(0, 2 * math.pi, rank),
-                              rng=rng, tols=tols)
+    even = eq.make_even_state(rank, phases=rng.uniform(0, 2 * math.pi, rank), rng=rng)
     form = hb.schmidt(even.state)
     shift = env.PhaseShift(phases=tuple(rng.uniform(0, 2 * math.pi, form.rank)),
-                           basis=tuple(form.sys_basis), tols=tols)
+                           basis=tuple(form.sys_basis))
     u_shift = shift.to_unitary()
     u_counter = env.countershift_for(even.state, shift, form)
     shifted = hb.apply_local(even.state, u_shift, "S")
     restored = hb.apply_local(shifted, u_counter, "E")
     rep.check_le("phase_countershift_restoration_distance",
-                 restored.distance(even.state), tols.decomposition,
+                 restored.distance(even.state), tol.DECOMPOSITION,
                  "definition", "state norm")
     rep.check_le("phase_shift_reduced_state_distance",
                  hb.partial_trace_env(shifted).distance(hb.partial_trace_env(even.state)),
-                 tols.decomposition, "definition", "Frobenius")
+                 tol.DECOMPOSITION, "definition", "Frobenius")
 
     swap = env.SwapSpec(pairs=((0, rank - 1),)) if rank > 1 else env.SwapSpec(pairs=())
     if rank > 1:
-        u_swap = env.swap_unitary(form, swap, even.dim_sys, tols)
+        u_swap = env.swap_unitary(form, swap, even.dim_sys)
         u_cswap = env.counterswap_for(even.state, swap, form)
         back = hb.apply_local(hb.apply_local(even.state, u_swap, "S"), u_cswap, "E")
         rep.check_le("swap_counterswap_restoration_distance",
-                     back.distance(even.state), tols.decomposition,
+                     back.distance(even.state), tol.DECOMPOSITION,
                      "definition", "state norm")
         rep.check_true("even_pair_certificate",
                        env.equal_probability_certificate(even.state, 0, rank - 1, form),
                        "definition")
 
     uneven = hb.BipartitePureState(
-        np.diag([math.sqrt(1.0 / 3.0), math.sqrt(2.0 / 3.0)]).astype(complex), tols)
+        np.diag([math.sqrt(1.0 / 3.0), math.sqrt(2.0 / 3.0)]).astype(complex))
     rep.check_true("uneven_pair_certificate_rejected",
                    not env.equal_probability_certificate(uneven, 0, 1),
                    "definition")
@@ -221,7 +221,7 @@ def run_born_finegrain(cfg: ScenarioConfig) -> RunReport:
     """Branch counting: p_up = mu/(mu+nu) exactly, certified pair by pair."""
     rep = _new_report(cfg, "born-finegrain")
     mu, nu = cfg.params["mu"], cfg.params["nu"]
-    result = env.finegrain_born_rule(env.FinegrainSpec(mu, nu), tols=cfg.tols)
+    result = env.finegrain_born_rule(env.FinegrainSpec(mu, nu))
 
     coarse_up, coarse_down = env.coarse_probabilities(result)
     alpha_sq = float(np.abs(result.coarse_state.amps[0, 0]) ** 2)
@@ -232,7 +232,7 @@ def run_born_finegrain(cfg: ScenarioConfig) -> RunReport:
     rep.check_close("finegrained_block_weight_down",
                     coarse_down, float(result.p_down), 1e-12, "exact-count", "probability")
     rep.check_true("all_branch_pairs_certified",
-                   env.all_pairs_certified(result.form, cfg.tols), "definition")
+                   env.all_pairs_certified(result.form), "definition")
 
     rep.data.update({
         "mu": mu,
@@ -249,7 +249,6 @@ def run_born_finegrain(cfg: ScenarioConfig) -> RunReport:
 def run_theorem_sweep(cfg: ScenarioConfig) -> RunReport:
     """Counter-evolution restores even states for every sampled unitary."""
     rep = _new_report(cfg, "theorem-sweep")
-    tols = cfg.tols
     max_rank = cfg.params["max_rank"]
     n_unitaries = cfg.params["n_unitaries"]
     seed = cfg.seeds[0]
@@ -262,9 +261,8 @@ def run_theorem_sweep(cfg: ScenarioConfig) -> RunReport:
         r_dists, q_dists = [], []
         for trial in range(n_unitaries):
             rng = np.random.default_rng([seed, rank, trial])
-            even = eq.make_even_state(rank, phases=rng.uniform(0, 2 * math.pi, rank),
-                                      rng=rng, tols=tols)
-            report = eq.verify_no_local_evolution(even, hb.haar_unitary(rank, rng, tols))
+            even = eq.make_even_state(rank, phases=rng.uniform(0, 2 * math.pi, rank), rng=rng)
+            report = eq.verify_no_local_evolution(even, hb.haar_unitary(rank, rng))
             r_dists.append(report.restoration_distance)
             q_dists.append(report.reduced_distance)
         restoration[str(rank)] = r_dists
@@ -272,18 +270,18 @@ def run_theorem_sweep(cfg: ScenarioConfig) -> RunReport:
         worst_restore = max(worst_restore, max(r_dists))
         worst_reduced = max(worst_reduced, max(q_dists))
 
-    rep.check_le("max_restoration_distance", worst_restore, tols.decomposition,
+    rep.check_le("max_restoration_distance", worst_restore, tol.DECOMPOSITION,
                  "definition", "state norm")
-    rep.check_le("max_reduced_state_distance", worst_reduced, tols.decomposition,
+    rep.check_le("max_reduced_state_distance", worst_reduced, tol.DECOMPOSITION,
                  "definition", "Frobenius")
 
     # negative control: an uneven state is moved by generic unitaries
     uneven = hb.BipartitePureState(
-        np.diag([math.sqrt(0.3), math.sqrt(0.7)]).astype(complex), tols)
+        np.diag([math.sqrt(0.3), math.sqrt(0.7)]).astype(complex))
     moved = 0
     for trial in range(n_unitaries):
         rng = np.random.default_rng([seed, 999, trial])
-        report = eq.verify_no_local_evolution(uneven, hb.haar_unitary(2, rng, tols))
+        report = eq.verify_no_local_evolution(uneven, hb.haar_unitary(2, rng))
         if report.reduced_distance > 1e-3:
             moved += 1
     fraction = moved / n_unitaries
@@ -423,7 +421,7 @@ def run_quantum_cycle(cfg: ScenarioConfig) -> RunReport:
     rep = _new_report(cfg, "quantum-cycle")
     engine = cfg.engine
     kt = engine.kb * engine.temperature
-    ledger = free_energy_ledger(engine, cfg.tols)
+    ledger = free_energy_ledger(engine)
     start, insert, measure, expand, erase = ledger.entries
     insertion_delta_a = insert.free_energy - start.free_energy
     measurement_delta_a = measure.free_energy - insert.free_energy
@@ -539,7 +537,6 @@ def run_full_suite(cfg: ScenarioConfig) -> RunReport:
         sub_raw = {
             "scenario": name,
             "seeds": list(cfg.seeds),
-            "tolerances": {k: getattr(cfg.tols, k) for k in _TOL_KEYS},
             "params": {k: v for k, v in cfg.params.items()
                        if k in _PARAM_DEFAULTS[name]},
         }

@@ -11,13 +11,13 @@ Gibbs-state constructors return the state together with its partition sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import DimensionMismatchError, InvalidStateError, RegimeError, TruncationError
 from ..hilbert import _freeze
-from ..tolerances import DEFAULT_TOLS, Tolerances
+from ..tolerances import DECOMPOSITION
 from .spectrum import BoxSpectrum, SplitSpectrum, _libm
 
 __all__ = [
@@ -44,7 +44,6 @@ class EngineState:
 
     weights: np.ndarray
     coherences: np.ndarray | None = None
-    tols: Tolerances = field(default=DEFAULT_TOLS, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -61,12 +60,11 @@ class EngineState:
             if not np.all(np.isfinite(c)):
                 raise InvalidStateError("engine state coherences must be finite (no NaN/Inf)")
             object.__setattr__(self, "coherences", _freeze(c))
-        tol = self.tols.decomposition
         tr = float(np.sum(w))
-        if abs(tr - 1.0) > tol:
+        if abs(tr - 1.0) > DECOMPOSITION:
             raise InvalidStateError(f"engine state trace {tr} is not 1")
         lo = float(np.min(self._block_eigenvalues()))
-        if lo < -tol:
+        if lo < -DECOMPOSITION:
             raise InvalidStateError(f"engine state has eigenvalue {lo} < 0")
 
     @property
@@ -100,8 +98,8 @@ class EngineState:
         return m
 
 
-def thermal_state(spec: BoxSpectrum, temperature: float, kb: float = 1.0,
-                  tols: Tolerances = DEFAULT_TOLS) -> tuple[EngineState, float]:
+def thermal_state(spec: BoxSpectrum, temperature: float,
+                  kb: float = 1.0) -> tuple[EngineState, float]:
     """Gibbs state over the bare-box levels and its partition sum.
 
     The state is diagonal in the box basis: one Boltzmann weight per level.
@@ -122,7 +120,7 @@ def thermal_state(spec: BoxSpectrum, temperature: float, kb: float = 1.0,
     if tail / z >= 1e-12:
         raise TruncationError(
             f"Boltzmann tail bound {tail / z:.3e} of Z exceeds 1e-12; raise n_trunc")
-    return EngineState(weights / z, tols=tols), z
+    return EngineState(weights / z), z
 
 
 def z_boltzmann_gas(eps_beta: float) -> float:
@@ -141,8 +139,8 @@ def split_partition_function(split: SplitSpectrum, beta: float) -> float:
     return z
 
 
-def barrier_thermal_state(split: SplitSpectrum, temperature: float, kb: float = 1.0,
-                          tols: Tolerances = DEFAULT_TOLS) -> tuple[EngineState, float]:
+def barrier_thermal_state(split: SplitSpectrum, temperature: float,
+                          kb: float = 1.0) -> tuple[EngineState, float]:
     """Gibbs state of the split box in the L/R basis and its partition sum.
 
     Each doublet block carries cosh(beta Delta_k) on the diagonal and
@@ -157,7 +155,7 @@ def barrier_thermal_state(split: SplitSpectrum, temperature: float, kb: float = 
     z = split_partition_function(split, beta)
     w = _libm(math.exp, -beta * e) / z
     ch = w * _libm(math.cosh, beta * d)
-    return EngineState(np.repeat(ch, 2), w * _libm(math.sinh, beta * d), tols), z
+    return EngineState(np.repeat(ch, 2), w * _libm(math.sinh, beta * d)), z
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,6 +193,6 @@ def measure_side(rho: EngineState) -> tuple[MeasurementOutcome, MeasurementOutco
         # scaled by 1/p, not divided by p: reported repeat probabilities are
         # pinned to this rounding
         post[side_levels] = rho.weights[side_levels] * (1.0 / p)
-        return MeasurementOutcome(side, p, EngineState(post, tols=rho.tols))
+        return MeasurementOutcome(side, p, EngineState(post))
 
     return project(slice(0, dim, 2), "L"), project(slice(1, dim, 2), "R")

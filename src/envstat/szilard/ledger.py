@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import RegimeError
-from ..tolerances import DEFAULT_TOLS, Tolerances
 from .config import EngineConfig
 from .engine import barrier_thermal_state, measure_side, thermal_state
 from .spectrum import box_spectrum, split_spectrum
@@ -67,8 +66,7 @@ class FreeEnergyLedger:
     repeat_left_prob: float
 
 
-def free_energy_ledger(cfg: EngineConfig,
-                       tols: Tolerances = DEFAULT_TOLS) -> FreeEnergyLedger:
+def free_energy_ledger(cfg: EngineConfig) -> FreeEnergyLedger:
     """Run one quantum cycle and account every step.
 
     The free-energy gain of kT ln 2 appears at the measurement step: the
@@ -82,7 +80,7 @@ def free_energy_ledger(cfg: EngineConfig,
     kt = cfg.kb * cfg.temperature
 
     box = box_spectrum(cfg)
-    _, z0 = thermal_state(box, cfg.temperature, cfg.kb, tols)
+    _, z0 = thermal_state(box, cfg.temperature, cfg.kb)
     e_box = box.energies
     w_box = np.exp(-beta * e_box)
     u0 = float(np.sum(e_box * w_box)) / z0
@@ -96,7 +94,7 @@ def free_energy_ledger(cfg: EngineConfig,
         raise RegimeError(
             f"barrier height {cfg.barrier_height:g} lies below every doublet "
             "center: no level tunnels, so the split partition sum is empty")
-    rho_lr, z1 = barrier_thermal_state(split, cfg.temperature, cfg.kb, tols)
+    rho_lr, z1 = barrier_thermal_state(split, cfg.temperature, cfg.kb)
     e_c, d_c = split.centers, split.deltas
     w_plus = np.exp(-beta * (e_c + d_c))
     w_minus = np.exp(-beta * (e_c - d_c))

@@ -1,26 +1,14 @@
-"""Single tolerance record shared across the package.
+"""The package's four fixed tolerances.
 
 Three rungs: construction invariants are the tightest, decomposition and
 restoration checks sit in the middle, physics-level comparisons are the
-loosest.  Everything that compares floats goes through one of these knobs.
+loosest; evenness bounds the relative spread of squared Schmidt weights.
+Everything that compares floats reads one of these constants.  They are
+not parameters: nothing takes a tolerance as an argument or stores one,
+and a scenario config may only restate these values.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    construction: float = 1e-12   # norms, traces, Hermiticity at build time
-    decomposition: float = 1e-10  # SVD/restoration/orthonormality checks
-    physics: float = 1e-8         # physical comparisons (entropies, spectra)
-    evenness: float = 1e-8        # relative spread of squared Schmidt weights
-
-    def replace(self, **kwargs) -> "Tolerances":
-        from dataclasses import replace
-
-        return replace(self, **kwargs)
-
-
-DEFAULT_TOLS = Tolerances()
+CONSTRUCTION = 1e-12   # norms, traces, Hermiticity at build time
+DECOMPOSITION = 1e-10  # SVD/restoration/orthonormality checks
+PHYSICS = 1e-8         # physical comparisons (entropies, spectra)
+EVENNESS = 1e-8        # relative spread of squared Schmidt weights

@@ -15,7 +15,7 @@ import sys
 from . import __version__
 from .errors import ConfigError, EnvstatError
 from .report import render_csv, render_json
-from .scenarios import SCENARIOS, resolve_config, run_scenario
+from .scenarios import SCENARIOS, config_section, resolve_config, run_scenario
 
 _SCENARIO_HELP = {
     "envariance-check": "phase/swap envariance on seeded entangled states",
@@ -78,7 +78,7 @@ def _load_raw_config(args: argparse.Namespace) -> dict:
     # flags win over the file
     if args.seed is not None:
         raw["seeds"] = [args.seed]
-    engine = dict(raw.get("engine", {}))
+    engine = config_section(raw, "engine")
     for flag, key in (("L", "box_length"), ("d", "barrier_width"),
                       ("U", "barrier_height"), ("T", "temperature"),
                       ("n_trunc", "n_trunc")):
@@ -87,14 +87,14 @@ def _load_raw_config(args: argparse.Namespace) -> dict:
             engine[key] = value
     if engine:
         raw["engine"] = engine
-    params = dict(raw.get("params", {}))
+    params = config_section(raw, "params")
     for flag in ("mu", "nu"):
         value = getattr(args, flag)
         if value is not None:
             params[flag] = value
     if params:
         raw["params"] = params
-    output = dict(raw.get("output", {}))
+    output = config_section(raw, "output")
     if args.out is not None:
         output["path"] = args.out
     if args.fmt is not None:

@@ -5,7 +5,9 @@ per-scenario defaults), runs deterministically from the configured seeds,
 and returns a RunReport whose resolved config is embedded, so any report
 can be re-run from its own config block and reproduce itself.  The
 embedded block echoes the package's fixed tolerances; a config may restate
-them but not change them.
+them but not change them.  resolve_config raises ConfigError on malformed
+input before anything runs: sections must be JSON objects, and every param
+has an upper bound.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from .szilard import (
     z_boltzmann_gas,
 )
 
-__all__ = ["SCENARIOS", "ScenarioConfig", "resolve_config", "run_scenario"]
+__all__ = ["SCENARIOS", "ScenarioConfig", "config_section", "resolve_config",
+           "run_scenario"]
 
 DEFAULT_SEED = 12345
 
@@ -62,6 +65,17 @@ _PARAM_DEFAULTS = {
     "classical-cycle": {"samples": 100_000},
 }
 
+# largest value of each param: every run stays desk scale in time and memory
+_PARAM_MAX = {
+    "rank": 1024,                # dense rank x rank unitaries, 16 MiB each
+    "mu": env.MAX_BRANCHES - 1,  # with nu >= 1, mu + nu must fit the branch budget
+    "nu": env.MAX_BRANCHES - 1,  # likewise, with mu >= 1
+    "max_rank": 64,              # every rank up to it is swept, n_unitaries times
+    "n_unitaries": 1000,         # Haar draws per rank, at most 64 000 in a sweep
+    "n_pairs": 2048,             # two levels per doublet fill the 4096-level budget
+    "samples": 10_000_000,       # one float per sample, 80 MB at the bound
+}
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -89,6 +103,15 @@ def _reject_unknown(section: str, given: dict, allowed) -> None:
         raise ConfigError(f"unknown {section} field(s): {', '.join(sorted(unknown))}")
 
 
+def config_section(raw: dict, name: str) -> dict:
+    """A copy of the optional section `name` of a raw config."""
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(
+            f"config section {name} must be a JSON object, not {type(section).__name__}")
+    return dict(section)
+
+
 def resolve_config(raw: dict) -> ScenarioConfig:
     """Fill defaults, validate every field, reject unknown keys."""
     if not isinstance(raw, dict):
@@ -106,7 +129,7 @@ def resolve_config(raw: dict) -> ScenarioConfig:
                        for s in seeds)):
         raise ConfigError("seeds must be a nonempty list of non-negative integers")
 
-    engine_raw = dict(raw.get("engine", {}))
+    engine_raw = config_section(raw, "engine")
     _reject_unknown("engine", engine_raw, _ENGINE_KEYS)
     engine_fields = dict(_ENGINE_DEFAULTS.get(scenario, _ENGINE_DEFAULTS["default"]))
     engine_fields.update(engine_raw)
@@ -119,14 +142,14 @@ def resolve_config(raw: dict) -> ScenarioConfig:
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid engine config: {exc}") from exc
 
-    tol_raw = dict(raw.get("tolerances", {}))
+    tol_raw = config_section(raw, "tolerances")
     _reject_unknown("tolerances", tol_raw, _TOLERANCES)
     for key, value in tol_raw.items():
         if value != _TOLERANCES[key]:
             raise ConfigError(
                 f"tolerance {key} is fixed at {_TOLERANCES[key]:g}; got {value!r}")
 
-    params_raw = dict(raw.get("params", {}))
+    params_raw = config_section(raw, "params")
     if scenario == "full-suite":
         allowed = {k for d in _PARAM_DEFAULTS.values() for k in d}
         params = {k: v for d in _PARAM_DEFAULTS.values() for k, v in d.items()}
@@ -138,9 +161,14 @@ def resolve_config(raw: dict) -> ScenarioConfig:
     for key, value in params.items():
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise ConfigError(f"param {key} must be a positive integer")
+        if value > _PARAM_MAX[key]:
+            raise ConfigError(f"param {key} must be at most {_PARAM_MAX[key]}; got {value}")
 
-    output_raw = dict(raw.get("output", {}))
+    output_raw = config_section(raw, "output")
     _reject_unknown("output", output_raw, ("path", "format"))
+    path = output_raw.get("path")
+    if path is not None and not isinstance(path, str):
+        raise ConfigError(f"output path must be a string or null, not {type(path).__name__}")
     fmt = output_raw.get("format", "json")
     if fmt not in ("json", "csv"):
         raise ConfigError(f"output format must be json or csv, got {fmt!r}")
@@ -150,7 +178,7 @@ def resolve_config(raw: dict) -> ScenarioConfig:
         seeds=tuple(seeds),
         engine=engine,
         params=params,
-        output_path=output_raw.get("path"),
+        output_path=path,
         output_format=fmt,
     )
 

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from envstat.cli import main
-from envstat.scenarios import resolve_config, run_scenario
+from envstat.errors import ConfigError
+from envstat.scenarios import SCENARIOS, resolve_config, run_scenario
 
 
 def run_cli(args, capsys):
@@ -104,6 +105,144 @@ def test_config_file_with_overflowing_scales_fails_closed(capsys, tmp_path, engi
     assert out == ""
     assert err.splitlines() == [f"config error: invalid engine config: {reason}"]
     assert not out_path.exists()
+
+
+# a tolerance other than the fixed one is rejected; restating the fixed ones
+# is accepted, as every rerun from an embedded config shows
+@pytest.mark.parametrize("tols,reason", [
+    *(({"decomposition": v}, f"tolerance decomposition is fixed at 1e-10; got {v!r}")
+      for v in ("x", -1, math.nan, True, 1e-3)),
+    ({"looseness": 1e-3}, "unknown tolerances field(s): looseness"),
+], ids=["string", "negative", "nan", "bool", "loosened", "unknown"])
+def test_tolerances_are_fixed(capsys, tmp_path, tols, reason):
+    cfg = tmp_path / "tols.json"
+    cfg.write_text(json.dumps({"tolerances": tols}))
+    out_path = tmp_path / "never.json"
+    code, out, err = run_cli(
+        ["envariance-check", "--config", str(cfg), "--out", str(out_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"config error: {reason}"]
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("raw", [
+    {"engine": 5}, {"engine": None}, {"params": "ab"}, {"params": [1]},
+    {"tolerances": 5}, {"tolerances": "ab"}, {"output": 5}, {"output": "ab"},
+    {"output": {"path": ["a"]}}, {"output": {"path": 2.5}},
+], ids=lambda raw: json.dumps(raw))
+def test_malformed_config_section_fails_closed(capsys, tmp_path, monkeypatch, raw):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    code, out, err = run_cli(["born-finegrain", "--config", "cfg.json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_integer_output_path_fails_closed(tmp_path):
+    # open(2) would write the report to file descriptor 2 and close it, so
+    # this runs in its own process
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output": {"path": 2}}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "envstat.cli", "born-finegrain", "--config", str(cfg)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "config error: output path must be a string or null, not int"]
+
+
+# the largest admitted value of each param, and a scenario that takes it
+PARAM_BOUNDS = {
+    "rank": (1024, "envariance-check"),
+    "mu": (4095, "born-finegrain"),
+    "nu": (4095, "born-finegrain"),
+    "max_rank": (64, "theorem-sweep"),
+    "n_unitaries": (1000, "theorem-sweep"),
+    "n_pairs": (2048, "spectrum-split"),
+    "samples": (10_000_000, "classical-cycle"),
+}
+
+
+@pytest.mark.parametrize("param", sorted(PARAM_BOUNDS))
+def test_param_upper_bounds(param):
+    # resolved only: a run at the bound would not be desk scale
+    bound, scenario = PARAM_BOUNDS[param]
+    assert resolve_config(
+        {"scenario": scenario, "params": {param: bound}}).params[param] == bound
+    with pytest.raises(ConfigError, match=f"param {param} must be at most {bound}"):
+        resolve_config({"scenario": scenario, "params": {param: bound + 1}})
+
+
+# junk that no numeric field admits: wrong types, bools, non-finite values,
+# zero and negatives
+_JUNK = st.one_of(
+    st.text(max_size=4), st.booleans(), st.none(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(max_value=0), st.floats(max_value=0.0),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+_NOT_AN_OBJECT = st.one_of(
+    st.text(max_size=4), st.booleans(), st.none(), st.integers(), st.floats(),
+    st.lists(st.integers(), max_size=2))
+_POSITIVE_ENGINE_FIELDS = ("mass", "box_length", "barrier_width", "temperature",
+                           "hbar", "kb")
+_SECTIONS = ("engine", "tolerances", "params", "output")
+
+
+@st.composite
+def broken_configs(draw):
+    """A scenario's fully resolved config with one field replaced by junk."""
+    scenario = draw(st.sampled_from(sorted(SCENARIOS)))
+    raw = resolve_config({"scenario": scenario}).to_dict()
+    kinds = ["engine", "n_trunc", "seeds", "section", "unknown", "tolerance",
+             "output_path", "output_format"] + (["param"] if raw["params"] else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "engine":
+        raw["engine"][draw(st.sampled_from(_POSITIVE_ENGINE_FIELDS))] = draw(_JUNK)
+    elif kind == "n_trunc":
+        raw["engine"]["n_trunc"] = draw(st.one_of(
+            _JUNK.filter(lambda v: v is not None), st.floats(1.0, 4096.0),
+            st.integers(4097, 10**12)))
+    elif kind == "param":
+        key = draw(st.sampled_from(sorted(raw["params"])))
+        bound = PARAM_BOUNDS[key][0]
+        raw["params"][key] = draw(st.one_of(
+            _JUNK, st.floats(1.0, 1e6), st.integers(bound + 1, 10**12)))
+    elif kind == "seeds":
+        raw["seeds"] = draw(st.one_of(
+            _NOT_AN_OBJECT.filter(lambda v: not isinstance(v, list)),
+            st.just([]), st.lists(_JUNK.filter(lambda v: v != 0), min_size=1, max_size=2)))
+    elif kind == "section":
+        raw[draw(st.sampled_from(_SECTIONS))] = draw(_NOT_AN_OBJECT)
+    elif kind == "unknown":
+        key = "x-" + draw(st.text(max_size=3))
+        section = draw(st.sampled_from((None,) + _SECTIONS))
+        (raw if section is None else raw[section])[key] = 1
+    elif kind == "tolerance":
+        key = draw(st.sampled_from(sorted(raw["tolerances"])))
+        fixed = raw["tolerances"][key]
+        raw["tolerances"][key] = draw(st.one_of(
+            _JUNK, st.floats().filter(lambda v: v != fixed)))
+    elif kind == "output_path":
+        raw["output"]["path"] = draw(_NOT_AN_OBJECT.filter(
+            lambda v: v is not None and not isinstance(v, str)))
+    else:
+        raw["output"]["format"] = draw(_JUNK.filter(lambda v: v not in ("json", "csv")))
+    return raw
+
+
+# the fail-closed contract: invalid input is a ConfigError before anything
+# runs (never a traceback, never a silently loosened or oversized run)
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(raw=broken_configs())
+def test_resolve_config_rejects_any_single_junk_field(raw):
+    with pytest.raises(ConfigError):
+        resolve_config(raw)
 
 
 def test_spectrum_split_beyond_n_trunc_reports_every_doublet(capsys, tmp_path):
@@ -210,17 +349,15 @@ def test_flags_override_config_file(capsys, tmp_path):
     assert report["data"]["p_up"] == "2/3"
 
 
-def test_report_reruns_from_embedded_config(capsys, tmp_path):
-    code, out, _ = run_cli(["classical-cycle", "--seed", "99"], capsys)
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_report_reruns_from_embedded_config(capsys, tmp_path, scenario):
+    code, out, _ = run_cli([scenario, "--seed", "99"], capsys)
     assert code == 0
-    report = json.loads(out)
     echo = tmp_path / "echo.json"
-    echo.write_text(json.dumps(report["config"]))
-    code2, out2, _ = run_cli(["classical-cycle", "--config", str(echo)], capsys)
+    echo.write_text(json.dumps(json.loads(out)["config"]))
+    code2, out2, _ = run_cli([scenario, "--config", str(echo)], capsys)
     assert code2 == 0
-    report2 = json.loads(out2)
-    assert report2["checks"] == report["checks"]
-    assert report2["data"] == report["data"]
+    assert strip_wall_time(out2) == strip_wall_time(out)
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,14 @@ from .hilbert import (
     BipartitePureState,
     DensityOperator,
     UnitaryOperator,
+    _freeze,
     apply_local,
     haar_unitary,
     partial_trace_env,
 )
 from .tolerances import DECOMPOSITION, PHYSICS
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 __all__ = [
     "EvenState",
@@ -229,32 +232,50 @@ def verify_no_local_evolution(state: EvenState | BipartitePureState,
 # canonical equilibrium by counting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelLadder:
-    """Energy levels with integer degeneracies, nondecreasing."""
+    """Energy levels with integer degeneracies, nondecreasing.
 
-    energies: tuple[float, ...]
-    degeneracies: tuple[int, ...]
+    energies (float64) and degeneracies (int64) are read-only 1-d arrays of
+    equal, nonzero length.  Energies must be finite and degeneracies whole
+    numbers from 1 up to the int64 maximum; anything else raises ValueError
+    rather than being rounded, truncated or widened to Python ints.
+    """
+
+    energies: np.ndarray
+    degeneracies: np.ndarray
 
     def __post_init__(self):
-        energies = tuple(float(e) for e in self.energies)
-        degs = tuple(int(g) for g in self.degeneracies)
-        if len(energies) != len(degs) or not energies:
+        energies = np.array(self.energies, dtype=np.float64)  # a copy the caller cannot reach
+        raw = np.asarray(self.degeneracies)
+        if energies.ndim != 1 or raw.shape != energies.shape or energies.size == 0:
             raise ValueError("need one degeneracy per level, at least one level")
-        if any(b < a for a, b in zip(energies, energies[1:])):
+        if not np.all(np.isfinite(energies)):
+            raise ValueError("energies must be finite")
+        if np.any(energies[1:] < energies[:-1]):
             raise ValueError("energies must be nondecreasing")
-        if any(g < 1 for g in degs):
+        # object arrays are what Python ints past int64 (or non-numbers) make
+        if raw.dtype.kind not in "iuf":
+            raise ValueError("degeneracies must be integers that fit int64")
+        if raw.dtype.kind == "f" and not np.all(np.trunc(raw) == raw):
+            raise ValueError("degeneracies must be integers")
+        if np.any(raw < 1):
             raise ValueError("degeneracies must be >= 1")
-        object.__setattr__(self, "energies", energies)
-        object.__setattr__(self, "degeneracies", degs)
+        # as a float 2**63 - 1 rounds up to 2**63, which int64 cannot hold
+        top = raw.max()
+        too_big = top >= 2.0**63 if raw.dtype.kind == "f" else top > _INT64_MAX
+        if too_big:
+            raise ValueError("degeneracies must fit int64")
+        object.__setattr__(self, "energies", _freeze(energies))
+        object.__setattr__(self, "degeneracies", _freeze(raw.astype(np.int64)))
 
     @property
     def count(self) -> int:
-        return len(self.energies)
+        return self.energies.size
 
     def expand(self) -> np.ndarray:
         """Per-state energies, one entry per degeneracy slot."""
-        return np.repeat(np.asarray(self.energies), np.asarray(self.degeneracies))
+        return np.repeat(self.energies, self.degeneracies)
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,13 +300,27 @@ class CanonicalFit:
 
 def _shell_counts(system: LevelLadder, bath: LevelLadder,
                   total_energy: float, window: float) -> np.ndarray:
-    e_sys = np.asarray(system.energies)
-    e_bath = np.asarray(bath.energies)
-    g_bath = np.asarray(bath.degeneracies)
+    """Bath microstates with |E_k + e - total_energy| <= window, per level k.
+
+    fl(fl(E_k + e) - total_energy) is monotone in e, so each shell is one
+    contiguous run of the sorted bath.  searchsorted finds a slice around
+    it whose edges are widened by a few ulps of the operands' magnitudes,
+    more than the rounding of either side can move a boundary, and the
+    exact predicate then picks the run inside that slice.
+    """
+    e_sys, e_bath, g_bath = system.energies, bath.energies, bath.degeneracies
+    magnitude = (np.abs(e_sys) + abs(total_energy) + window
+                 + max(abs(e_bath[0]), abs(e_bath[-1])))
+    slack = 4.0 * np.finfo(np.float64).eps * magnitude
+    lo = np.searchsorted(e_bath, total_energy - e_sys - window - slack, "left")
+    hi = np.searchsorted(e_bath, total_energy - e_sys + window + slack, "right")
+    # past float range (or a NaN operand) the slice would be meaningless
+    lo = np.where(np.isfinite(magnitude), lo, 0)
+    hi = np.where(np.isfinite(magnitude), hi, bath.count)
     counts = np.empty(system.count, dtype=np.float64)
     for k, ek in enumerate(e_sys):
-        inside = np.abs(ek + e_bath - total_energy) <= window
-        counts[k] = float(np.sum(g_bath[inside]))
+        inside = np.abs(ek + e_bath[lo[k]:hi[k]] - total_energy) <= window
+        counts[k] = float(np.sum(g_bath[lo[k]:hi[k]][inside]))
     return counts
 
 
@@ -317,21 +352,24 @@ def canonical_by_counting(system: LevelLadder, bath: LevelLadder,
 
     The occupancy of system level k is proportional to its degeneracy times
     the number of bath microstates whose energy lands within `window` of
-    total_energy - E_k.  The window defaults to half the minimum bath level
-    spacing, the standard regularization of the exact energy constraint.
+    total_energy - E_k.  The window defaults to half the smallest nonzero
+    bath level spacing, the standard regularization of the exact energy
+    constraint.  Each shell costs O(log n) to find in an n-level bath plus
+    its own width to count.
     """
     if bath.count < 10 * system.count:
         raise ValueError("bath must carry at least 10x the system level count")
     if window is None:
-        gaps = np.diff(np.unique(np.asarray(bath.energies)))
+        gaps = np.diff(bath.energies)
+        gaps = gaps[gaps > 0]
         if gaps.size == 0:
             raise ValueError("cannot infer a window from a single bath level")
         window = float(np.min(gaps)) / 2.0
     if window <= 0:
         raise ValueError("window must be positive")
 
-    e_sys = np.asarray(system.energies)
-    g_sys = np.asarray(system.degeneracies, dtype=np.float64)
+    e_sys = system.energies
+    g_sys = system.degeneracies.astype(np.float64)
 
     counts = _shell_counts(system, bath, total_energy, window)
     excluded = tuple(int(k) for k in np.nonzero(counts == 0)[0])

@@ -1,9 +1,12 @@
 """Even states, counter-evolution, canonical counting, purification."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from envstat.equilibrium import (
     LevelLadder,
@@ -216,10 +219,117 @@ def test_bath_size_enforced():
 
 
 def test_ladder_validation():
-    with pytest.raises(ValueError):
-        LevelLadder((1.0, 0.5), (1, 1))
-    with pytest.raises(ValueError):
-        LevelLadder((0.0, 1.0), (1, 0))
+    for energies, degeneracies, reason in [
+        ((1.0, 0.5), (1, 1), "nondecreasing"),
+        ((0.0, 1.0), (1, 0), ">= 1"),
+        ((0.0, 1.0), (1,), "one degeneracy per level"),
+        ((), (), "one degeneracy per level"),
+        (((0.0, 1.0),), ((1, 1),), "one degeneracy per level"),  # 2-d
+        ((0.0, math.nan), (1, 1), "finite"),
+        ((0.0, math.inf), (1, 1), "finite"),
+        ((-math.inf, 0.0), (1, 1), "finite"),
+        ((0.0, 1.0), (1.7, 2), "integers"),
+        ((0.0, 1.0), (1, math.nan), "integers"),
+        ((0.0, 1.0), (1, 2**63), "fit int64"),  # a Python int past int64
+        ((0.0, 1.0), (1, 2.0**63), "fit int64"),
+        ((0.0, 1.0), np.array([1, 2**63], dtype=np.uint64), "fit int64"),
+        ((0.0, 1.0), ("1", "2"), "fit int64"),
+    ]:
+        with pytest.raises(ValueError, match=reason):
+            LevelLadder(energies, degeneracies)
+
+
+@pytest.mark.parametrize("degeneracies", [
+    (1, 2.0, 3), np.array([1, 2, 3], dtype=np.uint64), np.array([1, 2, 3], dtype=np.int8)])
+def test_ladder_is_read_only_arrays(degeneracies):
+    ladder = LevelLadder((0, 0.5, 0.5), degeneracies)
+    assert ladder.energies.dtype == np.float64
+    assert ladder.degeneracies.dtype == np.int64
+    assert ladder.degeneracies.tolist() == [1, 2, 3]
+    assert ladder.count == 3
+    for arr in (ladder.energies, ladder.degeneracies):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_ladder_takes_the_int64_maximum():
+    top = np.iinfo(np.int64).max
+    for degeneracies in ((1, top), np.array([1, top], dtype=np.uint64)):
+        assert LevelLadder((0.0, 1.0), degeneracies).degeneracies[1] == top
+
+
+def _oracle_occupancies(system, bath, total_energy, window):
+    """Shell counting as a full-array predicate per system level, the
+    default window from np.unique: (occupancies, window), or ValueError
+    when no window can be inferred or no microstate lands in any shell."""
+    if window is None:
+        gaps = np.diff(np.unique(bath.energies))
+        if gaps.size == 0:
+            raise ValueError("cannot infer a window from a single bath level")
+        window = float(np.min(gaps)) / 2.0
+    counts = np.empty(system.count, dtype=np.float64)
+    for k, ek in enumerate(system.energies):
+        inside = np.abs(ek + bath.energies - total_energy) <= window
+        counts[k] = float(np.sum(bath.degeneracies[inside]))
+    weights = system.degeneracies.astype(np.float64) * counts
+    total = float(np.sum(weights))
+    if total == 0:
+        raise ValueError("no joint microstate lands in the window at all")
+    return weights / total, window
+
+
+@st.composite
+def shell_cases(draw):
+    """Ladders on a grid with repeated levels, |E| up to 1e6, and a total
+    energy whose shell edges often sit exactly on a bath level.  Off-grid
+    system energies make E - E_k round, where a bare searchsorted boundary
+    and the predicate disagree."""
+    spacing = draw(st.sampled_from([1.0, 0.5, 0.1, 1 / 3, 1e-3, 7.25]))
+    origin = draw(st.sampled_from([0.0, -1e6, 1e6])) + draw(st.floats(-1e3, 1e3))
+    n_sys = draw(st.integers(1, 4))
+    steps = sorted(draw(st.lists(st.integers(0, 60), min_size=10 * n_sys, max_size=120)))
+    bath_e = tuple(origin + spacing * j for j in steps)
+    bath_g = draw(st.lists(st.integers(1, 5), min_size=len(steps), max_size=len(steps)))
+    sys_origin = draw(st.one_of(st.just(0.0), st.floats(-1e4, 1e4)))
+    sys_e = tuple(sys_origin + spacing * j for j in sorted(draw(
+        st.lists(st.integers(0, 4), min_size=n_sys, max_size=n_sys))))
+    sys_g = draw(st.lists(st.integers(1, 3), min_size=n_sys, max_size=n_sys))
+    window = draw(st.one_of(
+        st.none(),
+        st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]).map(lambda m: m * spacing),
+        st.floats(1e-9, 5.0)))
+    edge = window if window is not None else spacing / 2.0
+    on_edge = st.builds(lambda i, j, s: sys_e[i] + bath_e[j] + s * edge,
+                        st.integers(0, n_sys - 1), st.integers(0, len(steps) - 1),
+                        st.sampled_from([-1, 0, 1]))
+    totals = draw(st.lists(st.one_of(on_edge, st.floats(origin - 10.0, origin + 80.0)),
+                           min_size=1, max_size=12))
+    return LevelLadder(sys_e, sys_g), LevelLadder(bath_e, bath_g), totals, window
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=shell_cases())
+# two shells whose predicate holds one level past the boundary that a bare
+# searchsorted on E - E_k -+ window finds
+@example(case=(LevelLadder((3672.4178589436465,), (1,)),
+               LevelLadder(tuple(4.580302341526188 + 0.1 * j for j in range(50)), (1,) * 50),
+               [3682.2981612851727], 0.5))
+@example(case=(LevelLadder((1.0,), (1,)), LevelLadder((1.57606119e-47,) * 10, (1,) * 10),
+               [0.0], 1.0))
+def test_shell_counts_match_full_array_predicate(case):
+    system, bath, totals, window = case
+    for total in totals:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # empty shells are legal here
+            try:
+                want, want_window = _oracle_occupancies(system, bath, total, window)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    canonical_by_counting(system, bath, total, window)
+                continue
+            fit = canonical_by_counting(system, bath, total, window)
+        assert np.array_equal(fit.occupancies, want)
+        assert fit.window == want_window
 
 
 # ---------------------------------------------------------------------------

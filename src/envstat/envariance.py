@@ -11,9 +11,9 @@ kept as exact rationals.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
 
 import numpy as np
 
@@ -360,14 +360,38 @@ class RationalBracket:
     high_realizable: bool
 
 
+def _farey_neighbours(x: Fraction, max_den: int) -> tuple[Fraction, Fraction]:
+    """Largest fraction <= x and smallest >= x with denominators <= max_den.
+
+    Continued-fraction descent: the last convergent within max_den and the
+    largest semiconvergent beyond it lie on opposite sides of x and are
+    adjacent in the Farey sequence of order max_den (the two candidates
+    that Fraction.limit_denominator compares).
+    """
+    if x.denominator <= max_den:
+        return x, x
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = x.numerator, x.denominator
+    while q0 + (n // d) * q1 <= max_den:
+        a = n // d
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+        n, d = d, n - a * d
+    k = (max_den - q0) // q1
+    semi, conv = Fraction(p0 + k * p1, q0 + k * q1), Fraction(p1, q1)
+    return (semi, conv) if semi < conv else (conv, semi)
+
+
 def incommensurate_bound(target: float | Fraction, max_den: int,
                          snap: float = 1e-12) -> RationalBracket:
     """Tightest rationals low <= target <= high with denominators <= max_den.
 
-    Every denominator is scanned, so the bracket width never exceeds
-    2/max_den and shrinks (never grows) as max_den increases.  A float
-    target within `snap` of an exact fraction n/q is treated as that
-    fraction, so commensurate inputs collapse the bracket to a point.
+    The two endpoints are the target's Farey neighbours of order max_den,
+    found by continued fractions in O(log max_den) steps, so the bracket
+    width never exceeds 2/max_den and shrinks (never grows) as max_den
+    increases.  A target within `snap` of the nearer neighbour n/q is
+    treated as that fraction, so commensurate inputs collapse the bracket
+    to a point.  An endpoint at 0 or 1 is not realizable; it is reported
+    as 0 (low) or 1 (high) with its flag false.
     """
     if not 0 < target < 1:
         raise ValueError("target probability must lie strictly inside (0, 1)")
@@ -375,26 +399,10 @@ def incommensurate_bound(target: float | Fraction, max_den: int,
         raise ValueError("max_den must be >= 1")
 
     exact = Fraction(target)  # binary floats convert exactly
-    best_low: Fraction | None = None
-    best_high: Fraction | None = None
-    for q in range(2, max_den + 1):
-        scaled = exact * q
-        nearest = round(scaled)
-        if abs(exact - Fraction(nearest, q)) <= snap:
-            n_low = n_high = nearest
-        else:
-            n_low, n_high = floor(scaled), ceil(scaled)
-        if 1 <= n_low <= q - 1:
-            cand = Fraction(n_low, q)
-            if best_low is None or cand > best_low:
-                best_low = cand
-        if 1 <= n_high <= q - 1:
-            cand = Fraction(n_high, q)
-            if best_high is None or cand < best_high:
-                best_high = cand
-
-    low_ok = best_low is not None
-    high_ok = best_high is not None
-    low = best_low if low_ok else Fraction(0)
-    high = best_high if high_ok else Fraction(1)
-    return RationalBracket(low, high, low_ok, high_ok)
+    low, high = _farey_neighbours(exact, operator.index(max_den))
+    if min(exact - low, high - exact) <= snap:
+        low = high = low if exact - low <= high - exact else high
+    low_ok = 0 < low < 1
+    high_ok = 0 < high < 1
+    return RationalBracket(low if low_ok else Fraction(0),
+                           high if high_ok else Fraction(1), low_ok, high_ok)

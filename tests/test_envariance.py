@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from envstat.envariance import (
     FinegrainSpec,
@@ -240,24 +242,69 @@ def test_bracket_exact_third_small_denominator():
     assert (b.low, b.high) == (Fraction(1, 3), Fraction(1, 3))
 
 
-def _scan_oracle(target: float, max_den: int):
-    """Exhaustive scan over every realizable fraction with den <= max_den."""
-    lows, highs = [], []
+def _scan_oracle(target, max_den: int, snap: float = 1e-12):
+    """Bracket by scanning every denominator 2..max_den: floor and ceil of
+    target*q, or round(target*q) on both sides when target is within snap
+    of it; only n/q with 1 <= n <= q-1 is realizable, else 0 or 1 with the
+    flag false.  Returns (low, high, low_realizable, high_realizable)."""
+    exact = Fraction(target)
+    best_low: Fraction | None = None
+    best_high: Fraction | None = None
     for q in range(2, max_den + 1):
-        for n in range(1, q):
-            f = Fraction(n, q)
-            (lows if f <= Fraction(target) else highs).append(f)
-    return max(lows), min(highs)
+        scaled = exact * q
+        nearest = round(scaled)
+        if abs(exact - Fraction(nearest, q)) <= snap:
+            n_low = n_high = nearest
+        else:
+            n_low, n_high = math.floor(scaled), math.ceil(scaled)
+        if 1 <= n_low <= q - 1:
+            cand = Fraction(n_low, q)
+            if best_low is None or cand > best_low:
+                best_low = cand
+        if 1 <= n_high <= q - 1:
+            cand = Fraction(n_high, q)
+            if best_high is None or cand < best_high:
+                best_high = cand
+    return (best_low if best_low is not None else Fraction(0),
+            best_high if best_high is not None else Fraction(1),
+            best_low is not None, best_high is not None)
+
+
+def _fields(bracket):
+    return bracket.low, bracket.high, bracket.low_realizable, bracket.high_realizable
 
 
 def test_bracket_irrational_matches_exhaustive_scan():
     target = 1.0 / math.sqrt(2.0)
     b = incommensurate_bound(target, 100)
-    low, high = _scan_oracle(target, 100)
-    assert (b.low, b.high) == (low, high)
+    assert _fields(b) == _scan_oracle(target, 100)
     assert b.low <= Fraction(target) <= b.high
     assert float(b.high - b.low) <= 0.02
     assert b.low_realizable and b.high_realizable
+
+
+@st.composite
+def bracket_cases(draw):
+    """max_den in 1..2000 with targets drawn uniformly, near some p/q
+    (inside and outside snap = 1e-12), and within 1/max_den of 0 and 1."""
+    max_den = draw(st.integers(1, 2000))
+    q = draw(st.integers(1, 2 * max_den))
+    near_fraction = st.builds(
+        lambda p, offset: p / q + offset, st.integers(0, q),
+        st.sampled_from([0.0, 1e-13, -1e-13, 9e-13, -9e-13, 1.1e-12, -1.1e-12,
+                         1e-11, -1e-11]) | st.floats(-1e-10, 1e-10))
+    edge = st.floats(0.0, 1.0, exclude_min=True).map(lambda u: u / max_den)
+    target = draw(st.one_of(st.floats(0.0, 1.0), near_fraction, edge,
+                            edge.map(lambda u: 1.0 - u)))
+    assume(0.0 < target < 1.0)
+    return target, max_den
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=bracket_cases())
+def test_bracket_matches_denominator_scan(case):
+    target, max_den = case
+    assert _fields(incommensurate_bound(target, max_den)) == _scan_oracle(target, max_den)
 
 
 def test_bracket_width_shrinks_with_denominator():

@@ -70,7 +70,10 @@ class SplitSpectrum:
             raise ValueError(f"doublet {k[negative][0]} has negative splitting")
         merged = (d > 0) & (c - d >= c + d)
         if np.any(merged):
-            raise ValueError(f"doublet {k[merged][0]} members do not interleave")
+            j = np.flatnonzero(merged)[0]
+            raise RegimeError(
+                f"doublet {k[j]} splitting {d[j]:.3g} is below the float "
+                f"resolution of its center {c[j]:.6g}")
         object.__setattr__(self, "k", _freeze(k))
         object.__setattr__(self, "centers", _freeze(c))
         object.__setattr__(self, "deltas", _freeze(d))

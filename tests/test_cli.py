@@ -70,6 +70,8 @@ def test_negative_length_is_config_error(capsys, tmp_path):
     ["quantum-cycle", "--L", "1e160"],  # L^2 overflows in epsilon
     ["spectrum-split", "--L", "1e200"],
     ["quantum-cycle", "--n-trunc", "4097"],  # past the 4096-level budget
+    ["quantum-cycle", "--U", "1e6"],  # doublet 12's splitting is below float resolution
+    ["spectrum-split", "--U", "1e6"],  # so is doublet 1's
 ])
 def test_invalid_engine_input_fails_closed(capsys, tmp_path, flags):
     out_path = tmp_path / "never.json"

@@ -239,7 +239,8 @@ def test_split_arrays_are_read_only():
 
 
 def test_split_spectrum_rejects_merged_members_and_ragged_arrays():
-    with pytest.raises(ValueError, match="interleave"):
+    with pytest.raises(RegimeError, match="doublet 1 splitting 1 is below the float "
+                       "resolution of its center 1e\\+20"):
         SplitSpectrum(1.0, [1], [1e20], [1.0], "numeric")  # c -+ 1 round to c
     with pytest.raises(ValueError, match="equal length"):
         SplitSpectrum(1.0, [1, 2], [4.0], [0.1], "numeric")

@@ -226,12 +226,22 @@ def split_spectrum(cfg: EngineConfig, mode: str = "numeric",
 # finite-difference oracle
 # ---------------------------------------------------------------------------
 
-def _fd_eigenvalues(cfg: EngineConfig, n_interior: int, n_levels: int) -> np.ndarray:
+def _fd_eigenvalues(cfg: EngineConfig, n_interior: int, n_pairs: int) -> np.ndarray:
+    """Lowest n_pairs eigenvalues of each parity sector of the grid
+    Hamiltonian on n_interior (odd) nodes, interleaved [sym_1, anti_1, ...].
+
+    The box and its centred barrier are mirror-symmetric and a node sits at
+    x = 0, so the tridiagonal Hamiltonian splits exactly into an even sector
+    (the centre node and the right half) and an odd one (the right half with
+    psi(0) = 0).  Scaling the even sector's off-centre amplitudes by sqrt(2)
+    keeps it symmetric, with -sqrt(2) t between the centre and its neighbour.
+    """
     from scipy.linalg import eigh_tridiagonal  # the oracle alone needs scipy
 
     l, d, u = cfg.box_length, cfg.barrier_width, cfg.barrier_height
     dx = l / (n_interior + 1)
-    x = -l / 2.0 + dx * np.arange(1, n_interior + 1)
+    half = n_interior // 2  # nodes right of the centre
+    x = dx * np.arange(half + 1)
     # cell-averaged potential: fraction of [x - dx/2, x + dx/2] under the
     # barrier; a step exactly on a node counts half, sub-cell barriers keep
     # their integrated weight
@@ -240,9 +250,12 @@ def _fd_eigenvalues(cfg: EngineConfig, n_interior: int, n_levels: int) -> np.nda
     v = u * np.clip(overlap, 0.0, None) / dx
     t = cfg.hbar**2 / (2.0 * cfg.mass * dx * dx)
     diag = 2.0 * t + v
-    off = np.full(n_interior - 1, -t)
-    vals = eigh_tridiagonal(diag, off, select="i",
-                            select_range=(0, n_levels - 1), eigvals_only=True)
+    off = np.full(half, -t)
+    off[0] = -math.sqrt(2.0) * t
+    lowest = dict(select="i", select_range=(0, n_pairs - 1), eigvals_only=True)
+    vals = np.empty(2 * n_pairs)
+    vals[0::2] = eigh_tridiagonal(diag, off, **lowest)
+    vals[1::2] = eigh_tridiagonal(diag[1:], off[1:], **lowest)
     return vals
 
 
@@ -253,10 +266,11 @@ def fd_pair_energies(cfg: EngineConfig, n_pairs: int) -> np.ndarray:
     edges land exactly on nodes.  Richardson extrapolation against the
     half-resolution grid (5e3 intervals) removes the O(dx^2) truncation
     bias, which would otherwise sit near the 1e-6 relative level for the
-    fifth doublet.  Returned ascending: [sym_1, anti_1, sym_2, anti_2, ...].
+    fifth doublet.  Each grid is solved per parity sector.  Returned
+    ascending: [sym_1, anti_1, sym_2, anti_2, ...].
     """
     if math.isinf(cfg.barrier_height):
         raise RegimeError("finite-difference oracle needs a finite barrier")
-    vals = _fd_eigenvalues(cfg, 9999, 2 * n_pairs)
-    half = _fd_eigenvalues(cfg, 4999, 2 * n_pairs)
+    vals = _fd_eigenvalues(cfg, 9999, n_pairs)
+    half = _fd_eigenvalues(cfg, 4999, n_pairs)
     return (4.0 * vals - half) / 3.0

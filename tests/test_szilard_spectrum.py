@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from envstat.errors import RegimeError
+from envstat.scenarios import resolve_config, run_scenario
 from envstat.szilard import (
     EngineConfig,
     SplitSpectrum,
@@ -161,9 +162,50 @@ def test_fd_richardson_improves_plain_grid():
     cfg = finite_barrier_config()
     split = split_spectrum(cfg, "numeric", n_pairs=3)
     exact = split.energies
-    plain = _fd_eigenvalues(cfg, 9999, 6)  # the finer of the two grids alone
+    plain = _fd_eigenvalues(cfg, 9999, 3)  # the finer of the two grids alone
     extrap = fd_pair_energies(cfg, 3)
     assert np.max(np.abs(extrap - exact)) < np.max(np.abs(plain - exact))
+
+
+def _dense_grid_hamiltonian(cfg, n_interior):
+    """The full-grid Hamiltonian as a dense matrix on nodes x_i = -L/2 + i dx,
+    built without the mirror symmetry the oracle exploits."""
+    l, d, u = cfg.box_length, cfg.barrier_width, cfg.barrier_height
+    dx = l / (n_interior + 1)
+    x = -l / 2.0 + dx * np.arange(1, n_interior + 1)
+    overlap = np.minimum(x + dx / 2.0, d / 2.0) - np.maximum(x - dx / 2.0, -d / 2.0)
+    v = u * np.clip(overlap, 0.0, None) / dx
+    t = cfg.hbar**2 / (2.0 * cfg.mass * dx * dx)
+    hop = np.eye(n_interior, k=1) + np.eye(n_interior, k=-1)
+    return np.diag(2.0 * t + v) - t * hop
+
+
+@pytest.mark.parametrize("n_interior", [201, 401])
+@pytest.mark.parametrize("u", [1200.0, 4800.0])
+@pytest.mark.parametrize("d_over_l", [0.05, 0.01])
+def test_parity_sectors_match_dense_full_grid(n_interior, u, d_over_l):
+    cfg = finite_barrier_config(u=u, d_over_l=d_over_l, n_trunc=32)
+    h = _dense_grid_hamiltonian(cfg, n_interior)
+    dense = np.linalg.eigvalsh(h)[:32]
+    sectors = _fd_eigenvalues(cfg, n_interior, 16)
+    # bisection and the dense solver each land within a few ulp * ||H||
+    tol = 4.0 * np.finfo(np.float64).eps * np.linalg.norm(h, 2)
+    assert np.max(np.abs(np.sort(sectors) - dense)) <= tol
+    # sym_k < anti_k < sym_(k+1)
+    assert np.all(np.diff(sectors) > 0)
+
+
+@pytest.mark.parametrize("u", [1200.0, 4800.0])
+@pytest.mark.parametrize("n_pairs", [5, 16])
+@pytest.mark.parametrize("d_over_l", [0.05, 0.01])
+def test_spectrum_split_passes_at_workload_corners(u, n_pairs, d_over_l):
+    rep = run_scenario(resolve_config({
+        "scenario": "spectrum-split",
+        "engine": {"barrier_height": u, "n_trunc": 2 * n_pairs,
+                   "barrier_width": d_over_l * math.pi},
+        "params": {"n_pairs": n_pairs}}))
+    assert rep.passed, [c.name for c in rep.checks if not c.passed]
+    assert len(rep.table.rows) == n_pairs
 
 
 # ---------------------------------------------------------------------------

@@ -402,10 +402,10 @@ def run_spectrum_split(cfg: ScenarioConfig) -> RunReport:
                  "closed-form", "relative")
 
     # splitting dies away monotonically as the barrier grows
-    deltas_by_u = [
+    deltas_by_u = [numeric.deltas] + [
         split_spectrum(replace(engine, barrier_height=engine.barrier_height * factor),
                        "numeric", n_pairs=n_pairs).deltas
-        for factor in (1.0, 2.0, 4.0, 8.0)]
+        for factor in (2.0, 4.0, 8.0)]
     monotone = all(
         np.all(deltas_by_u[i + 1] < deltas_by_u[i])
         for i in range(len(deltas_by_u) - 1))

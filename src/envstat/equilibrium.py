@@ -317,10 +317,15 @@ def _shell_counts(system: LevelLadder, bath: LevelLadder,
     # past float range (or a NaN operand) the slice would be meaningless
     lo = np.where(np.isfinite(magnitude), lo, 0)
     hi = np.where(np.isfinite(magnitude), hi, bath.count)
+    # an int64 sum wraps silently past 2**63: a shell whose sum could reach
+    # it is summed exactly as Python ints, and either way the exact count is
+    # rounded once to float64
+    g_top = int(g_bath.max())
     counts = np.empty(system.count, dtype=np.float64)
     for k, ek in enumerate(e_sys):
         inside = np.abs(ek + e_bath[lo[k]:hi[k]] - total_energy) <= window
-        counts[k] = float(np.sum(g_bath[lo[k]:hi[k]][inside]))
+        g = g_bath[lo[k]:hi[k]][inside]
+        counts[k] = float(np.sum(g) if g.size * g_top <= _INT64_MAX else sum(g.tolist()))
     return counts
 
 

@@ -258,6 +258,17 @@ def test_ladder_takes_the_int64_maximum():
         assert LevelLadder((0.0, 1.0), degeneracies).degeneracies[1] == top
 
 
+def test_shell_counts_sum_exactly_past_int64():
+    # in-shell sums of 2 and 3 times 2**62 pass the int64 maximum
+    system = LevelLadder((0.0, 0.5), (1, 1))
+    bath = LevelLadder(np.arange(20.0), np.full(20, 2**62))
+    # default window 1/2: shells {10} and {9, 10}
+    assert canonical_by_counting(system, bath, 10.0).occupancies.tolist() == [1 / 3, 2 / 3]
+    # window 1: shells {9, 10, 11} and {9, 10}
+    fit = canonical_by_counting(system, bath, 10.0, window=1.0)
+    assert fit.occupancies.tolist() == [0.6, 0.4]
+
+
 def _oracle_occupancies(system, bath, total_energy, window):
     """Shell counting as a full-array predicate per system level, the
     default window from np.unique: (occupancies, window), or ValueError

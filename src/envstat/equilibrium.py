@@ -325,7 +325,8 @@ def _shell_counts(system: LevelLadder, bath: LevelLadder,
     for k, ek in enumerate(e_sys):
         inside = np.abs(ek + e_bath[lo[k]:hi[k]] - total_energy) <= window
         g = g_bath[lo[k]:hi[k]][inside]
-        counts[k] = float(np.sum(g) if g.size * g_top <= _INT64_MAX else sum(g.tolist()))
+        may_wrap = g.size * g_top > _INT64_MAX
+        counts[k] = float(sum(g.tolist()) if may_wrap else np.sum(g))
     return counts
 
 

@@ -11,7 +11,10 @@ Gibbs weights into an entangled pure state.
 
 from __future__ import annotations
 
+import itertools
+import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +31,24 @@ from .hilbert import (
     UnitaryOperator,
     _freeze,
     apply_local,
+    check_density,
+    check_pure_states,
+    check_unitary,
+    dagger,
+    frobenius,
+    gaussian_matrix,
+    haar_stack,
     haar_unitary,
+    orthonormality_defect,
     partial_trace_env,
+    scale_columns,
 )
 from .tolerances import DECOMPOSITION, PHYSICS
 
 _INT64_MAX = np.iinfo(np.int64).max
+# complex entries per stacked array of a sweep chunk (1 MiB): memory stays
+# bounded at any trial count, and a chunk still holds many small trials
+_STACK_ENTRIES = 2**16
 
 __all__ = [
     "EvenState",
@@ -43,6 +58,7 @@ __all__ = [
     "make_even_state",
     "counter_evolution_for",
     "verify_no_local_evolution",
+    "no_evolution_sweep",
     "canonical_by_counting",
     "thermal_purification",
 ]
@@ -63,24 +79,11 @@ class EvenState:
     state: BipartitePureState
 
     def __post_init__(self):
-        k = self.rank
-        if self.sys_vecs.shape[1] != k or self.env_vecs.shape[1] != k:
-            raise DimensionMismatchError("need one branch vector per rank")
-        if len(self.phases) != k:
-            raise DimensionMismatchError("need one phase per branch")
-        for vecs, side in ((self.sys_vecs, "system"), (self.env_vecs, "environment")):
-            gram = vecs.conj().T @ vecs
-            if np.max(np.abs(gram - np.eye(k))) > DECOMPOSITION:
-                raise InvalidStateError(f"{side} branch vectors are not orthonormal")
-        # reduced operator must be the normalized projector on the branch span
-        proj = self.sys_vecs @ self.sys_vecs.conj().T
-        rho = self.state.amps @ self.state.amps.conj().T
-        if np.max(np.abs(rho - proj / k)) > DECOMPOSITION:
-            raise InvalidStateError("branch weights are not all equal to 1/sqrt(K)")
+        amps = self.state.amps
+        check_even(self.rank, self.phases, self.sys_vecs, self.env_vecs,
+                   amps @ dagger(amps))
         for name in ("phases", "sys_vecs", "env_vecs"):
-            arr = np.ascontiguousarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     @property
     def dim_sys(self) -> int:
@@ -125,55 +128,103 @@ def make_even_state(rank: int,
         sys_vecs = haar_unitary(dim_sys, rng).matrix[:, :rank]
         env_vecs = haar_unitary(dim_env, rng).matrix[:, :rank]
 
-    weights = np.exp(1j * phases) / np.sqrt(rank)
-    amps = (sys_vecs * weights) @ env_vecs.T
-    state = BipartitePureState(amps)
+    state = BipartitePureState(even_amplitudes(phases, sys_vecs, env_vecs))
     return EvenState(rank, phases, sys_vecs, env_vecs, state)
 
 
 # ---------------------------------------------------------------------------
-# the counter-evolution construction
+# even states and their counter-evolutions, over stacks: every array carries
+# a leading stack shape, and the per-state API is the stack of one
 # ---------------------------------------------------------------------------
+
+def even_amplitudes(phases: np.ndarray, sys_vecs: np.ndarray,
+                    env_vecs: np.ndarray) -> np.ndarray:
+    """sum_k e^{i phi_k} s_k e_k^T / sqrt(K) for each even state of a stack."""
+    rank = phases.shape[-1]
+    weights = np.exp(1j * phases) / np.sqrt(rank)
+    return scale_columns(sys_vecs, weights) @ np.swapaxes(env_vecs, -1, -2)
+
+
+def check_even(rank: int, phases, sys_vecs: np.ndarray, env_vecs: np.ndarray,
+               rho: np.ndarray) -> None:
+    """Branch data of a stack of even states against their reduced operators.
+
+    rho = A A^dagger must be the normalized projector on the span of the
+    system branch vectors, which must be orthonormal, as the environment's.
+    """
+    if sys_vecs.shape[-1] != rank or env_vecs.shape[-1] != rank:
+        raise DimensionMismatchError("need one branch vector per rank")
+    if np.shape(phases)[-1:] != (rank,):
+        raise DimensionMismatchError("need one phase per branch")
+    for vecs, side in ((sys_vecs, "system"), (env_vecs, "environment")):
+        if np.max(orthonormality_defect(vecs)) > DECOMPOSITION:
+            raise InvalidStateError(f"{side} branch vectors are not orthonormal")
+    proj = sys_vecs @ dagger(sys_vecs)
+    if np.max(np.abs(rho - proj / rank)) > DECOMPOSITION:
+        raise InvalidStateError("branch weights are not all equal to 1/sqrt(K)")
+
+
+def counter_evolve(phases: np.ndarray, sys_vecs: np.ndarray, env_vecs: np.ndarray,
+                   amps: np.ndarray, rho: np.ndarray, u_sys: np.ndarray):
+    """Counter-evolutions of a stack of even states under system unitaries.
+
+    Takes checked even states (amplitudes `amps`, reduced operators `rho`)
+    and unitaries `u_sys`, one per state.  With branch pairs (s_k, e_k) and
+    phases phi_k, the rotated system basis st_l = u_sys s_l pairs with
+    environment vectors et_l = sum_k e^{i phi_k} <st_l|s_k> e_k, which come
+    out orthonormal whenever u_sys preserves the branch span.  Mapping e_l
+    to e^{-i phi_l} et_l (identity elsewhere) then restores the composite
+    exactly.  Returns (u_env, reduced_distance, restoration_distance): the
+    environment unitaries, and per state the Frobenius distance between
+    the reduced operators before and after u_sys and the composite's
+    distance after u_sys and u_env.  Raises SubspaceEscapeError when any
+    u_sys leaks outside its state's span or any restoration fails.
+    """
+    if u_sys.shape[-1] != amps.shape[-2]:
+        raise DimensionMismatchError("system unitary has the wrong dimension")
+    moved = check_pure_states(u_sys @ amps)
+    rho_after = check_density(moved @ dagger(moved))
+    check_density(rho)
+
+    s, e = sys_vecs, env_vecs
+    rotated = u_sys @ s
+    # block-preservation: the rotated branch vectors must stay in the span
+    leak = rotated - s @ (dagger(s) @ rotated)
+    if np.any(frobenius(leak) > PHYSICS * np.maximum(frobenius(rotated), 1.0)):
+        raise SubspaceEscapeError(
+            "unitary maps the even subspace outside itself; no counter-evolution")
+
+    overlaps = dagger(rotated) @ s                       # [l, k] = <st_l|s_k>
+    partners = e @ np.swapaxes(scale_columns(overlaps, np.exp(1j * phases)), -1, -2)
+    if np.max(orthonormality_defect(partners)) > DECOMPOSITION:
+        raise SubspaceEscapeError(
+            "rotated environment partners failed the orthonormality check")
+
+    mapped = scale_columns(partners, np.exp(-1j * phases))
+    e_dag = dagger(e)
+    u_env = check_unitary(np.eye(e.shape[-2], dtype=np.complex128) - e @ e_dag
+                          + mapped @ e_dag)
+    restored = check_pure_states(moved @ np.swapaxes(u_env, -1, -2))
+    restoration = frobenius(restored - amps)
+    if np.any(restoration > DECOMPOSITION):
+        raise SubspaceEscapeError("constructed counter-evolution failed to restore")
+    return u_env, frobenius(rho - rho_after), restoration
+
+
+def _stack_of_one(even: EvenState, u_sys: UnitaryOperator):
+    amps = even.state.amps
+    return counter_evolve(even.phases[None], even.sys_vecs[None], even.env_vecs[None],
+                          amps[None], (amps @ dagger(amps))[None], u_sys.matrix[None])
+
 
 def counter_evolution_for(even: EvenState, u_sys: UnitaryOperator) -> UnitaryOperator:
     """Environment unitary undoing an arbitrary unitary on the even subspace.
 
-    With branch pairs (s_k, e_k) and phases phi_k, the rotated system basis
-    st_l = u_sys s_l pairs with environment vectors
-    et_l = sum_k e^{i phi_k} <st_l|s_k> e_k, which come out orthonormal
-    whenever u_sys preserves the branch span.  Mapping e_l to
-    e^{-i phi_l} et_l (identity elsewhere) then restores the composite
-    exactly.  Raises SubspaceEscapeError when u_sys leaks outside the span.
+    The stack-of-one case of `counter_evolve`, which defines the
+    construction and its checks.  Raises SubspaceEscapeError when u_sys
+    leaks outside the span.
     """
-    if u_sys.dim != even.dim_sys:
-        raise DimensionMismatchError("system unitary has the wrong dimension")
-
-    s = even.sys_vecs
-    rotated = u_sys.matrix @ s
-    # block-preservation: the rotated branch vectors must stay in the span
-    leak = rotated - s @ (s.conj().T @ rotated)
-    if np.linalg.norm(leak) > PHYSICS * max(np.linalg.norm(rotated), 1.0):
-        raise SubspaceEscapeError(
-            "unitary maps the even subspace outside itself; no counter-evolution")
-
-    overlaps = rotated.conj().T @ s                      # [l, k] = <st_l|s_k>
-    weights = np.exp(1j * even.phases)
-    partners = even.env_vecs @ (overlaps * weights).T    # column l = et_l
-    gram = partners.conj().T @ partners
-    if np.max(np.abs(gram - np.eye(even.rank))) > DECOMPOSITION:
-        raise SubspaceEscapeError(
-            "rotated environment partners failed the orthonormality check")
-
-    e = even.env_vecs
-    mapped = partners * np.exp(-1j * even.phases)
-    u_env = np.eye(even.dim_env, dtype=np.complex128) - e @ e.conj().T \
-        + mapped @ e.conj().T
-    out = UnitaryOperator(u_env)
-
-    moved = apply_local(even.state, u_sys, "S")
-    if apply_local(moved, out, "E").distance(even.state) > DECOMPOSITION:
-        raise SubspaceEscapeError("constructed counter-evolution failed to restore")
-    return out
+    return UnitaryOperator(_stack_of_one(even, u_sys)[0][0])
 
 
 @dataclass(frozen=True)
@@ -196,19 +247,16 @@ def verify_no_local_evolution(state: EvenState | BipartitePureState,
                               u_sys: UnitaryOperator) -> NoEvolutionReport:
     """Measure how much a system-side unitary moved the system.
 
-    For an even state both distances vanish (to tolerance).  For an uneven
-    state a generic unitary shifts the reduced operator and no environment
-    action can bring the composite back; the report quantifies both.
+    For an even state both distances vanish (to tolerance), as computed by
+    `counter_evolve` for a stack of one.  For an uneven state a generic
+    unitary shifts the reduced operator and no environment action can bring
+    the composite back; the report quantifies both.
     """
     if isinstance(state, EvenState):
-        rho_before = state.reduced()
-        moved = apply_local(state.state, u_sys, "S")
-        rho_after = partial_trace_env(moved)
-        u_env = counter_evolution_for(state, u_sys)
-        restored = apply_local(moved, u_env, "E")
+        _, reduced, restoration = _stack_of_one(state, u_sys)
         return NoEvolutionReport(
-            reduced_distance=rho_before.distance(rho_after),
-            restoration_distance=restored.distance(state.state),
+            reduced_distance=float(reduced[0]),
+            restoration_distance=float(restoration[0]),
             even=True,
         )
 
@@ -226,6 +274,45 @@ def verify_no_local_evolution(state: EvenState | BipartitePureState,
         restoration_distance=restoration,
         even=False,
     )
+
+
+def no_evolution_sweep(rank: int, rngs: Iterable[np.random.Generator]
+                       ) -> tuple[list[float], list[float]]:
+    """(restoration, reduced) distances of random even states of one rank.
+
+    One trial per generator.  Each trial draws its branch phases uniformly
+    from [0, 2 pi), then complex Gaussians for the system basis, the
+    environment basis and the system unitary, the draws of
+    `make_even_state(rank, phases=rng.uniform(0, 2 * pi, rank), rng=rng)`
+    followed by `haar_unitary(rank, rng)`, and gets the same distances as
+    `verify_no_local_evolution` on them, with every check those make.  The
+    trials are stacked in chunks of at most _STACK_ENTRIES complex entries
+    per rank x rank stack, so memory stays bounded at any trial count.
+    """
+    rngs = iter(rngs)
+    chunk = max(1, _STACK_ENTRIES // rank**2)
+    restoration: list[float] = []
+    reduced: list[float] = []
+    while batch := list(itertools.islice(rngs, chunk)):
+        r_dists, q_dists = _sweep_stack(rank, batch)
+        restoration.extend(r_dists.tolist())
+        reduced.extend(q_dists.tolist())
+    return restoration, reduced
+
+
+def _sweep_stack(rank: int, rngs: list[np.random.Generator]):
+    phases = np.empty((len(rngs), rank))
+    z = np.empty((3, len(rngs), rank, rank), dtype=np.complex128)
+    for i, rng in enumerate(rngs):
+        phases[i] = rng.uniform(0, 2 * math.pi, rank)
+        for j in range(3):
+            z[j, i] = gaussian_matrix(rank, rng)
+    sys_vecs, env_vecs, u_sys = check_unitary(haar_stack(z))
+    amps = check_pure_states(even_amplitudes(phases, sys_vecs, env_vecs))
+    rho = amps @ dagger(amps)
+    check_even(rank, phases, sys_vecs, env_vecs, rho)
+    _, reduced, restoration = counter_evolve(phases, sys_vecs, env_vecs, amps, rho, u_sys)
+    return restoration, reduced
 
 
 # ---------------------------------------------------------------------------

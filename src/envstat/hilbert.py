@@ -5,7 +5,9 @@ von Neumann entropy and Haar-random unitaries.  All containers are
 immutable after construction and validated against the package's fixed
 tolerances (`envstat.tolerances`), which no caller can change; every
 operation is a pure function, so instances are safe to share between
-threads.
+threads.  Each container's checks are functions over stacks of matrices
+(`check_pure_states`, `check_density`, `check_unitary`), so a batch of
+states is validated by the same code as one.
 
 Dimensions are desk scale (a few thousand at most), so these containers
 are dense complex128, with no sparse or tensor-network representations.
@@ -53,6 +55,90 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+# ---------------------------------------------------------------------------
+# checks over stacks: every array argument is (..., rows, cols), a stack of
+# matrices; a container validates itself as a stack of one
+# ---------------------------------------------------------------------------
+
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return np.swapaxes(m.conj(), -1, -2)
+
+
+def frobenius(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, shape (...).
+
+    Bit for bit np.linalg.norm of each C-ordered slice: both take the BLAS
+    dot of the flattened real parts plus that of the imaginary parts.
+    """
+    flat = np.reshape(m, m.shape[:-2] + (1, -1))
+    re, im = flat.real, flat.imag
+    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    return np.sqrt(sq[..., 0, 0])
+
+
+def orthonormality_defect(vecs: np.ndarray) -> np.ndarray:
+    """Largest |V^dagger V - 1| entry of each (d, k) matrix of a stack."""
+    gram = dagger(vecs) @ vecs
+    return np.max(np.abs(gram - np.eye(vecs.shape[-1])), axis=(-2, -1))
+
+
+def scale_columns(m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """m * w[..., None, :]: column k of each matrix times w[..., k].
+
+    Rounded as numpy rounds the product of one 2-d matrix and a row.  numpy
+    multiplies a lone complex pair (a 1 x 1 matrix) in its scalar loop,
+    without fused multiply-add, but a run of pairs in its vector loop, with
+    it; a stack of 1 x 1 matrices would run as one vector, so its entries
+    are multiplied out in real arithmetic here.
+    """
+    w = w[..., None, :]
+    if m.shape[-2:] != (1, 1):
+        return m * w
+    out = np.empty(np.broadcast_shapes(m.shape, w.shape), dtype=np.complex128)
+    out.real = m.real * w.real - m.imag * w.imag
+    out.imag = m.real * w.imag + m.imag * w.real
+    return out
+
+
+def check_pure_states(amps) -> np.ndarray:
+    """Finite amplitudes of Frobenius norm 1 in every matrix of a stack."""
+    amps = _as_complex(amps)
+    norms = frobenius(amps)
+    worst = np.argmax(np.abs(norms - 1.0))
+    if abs(norms.flat[worst] - 1.0) > CONSTRUCTION:
+        raise InvalidStateError(f"bipartite state norm {norms.flat[worst]} is not 1")
+    return amps
+
+
+def check_density(m) -> np.ndarray:
+    """Finite, Hermitian, unit-trace, positive semidefinite square stack."""
+    m = _as_complex(m)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise InvalidStateError("density operator must be square")
+    if np.max(np.abs(m - dagger(m))) > CONSTRUCTION:
+        raise InvalidStateError("density operator must be Hermitian")
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    worst = np.argmax(np.abs(tr - 1.0))
+    if abs(tr.flat[worst] - 1.0) > DECOMPOSITION:
+        raise InvalidStateError(f"density operator trace {tr.flat[worst]} is not 1")
+    lo = float(np.min(np.linalg.eigvalsh(m)[..., 0]))
+    if lo < -DECOMPOSITION:
+        raise InvalidStateError(f"density operator has eigenvalue {lo} < 0")
+    return m
+
+
+def check_unitary(m) -> np.ndarray:
+    """Finite square stack with U^dagger U = 1 within DECOMPOSITION."""
+    m = _as_complex(m)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise InvalidStateError("unitary must be square")
+    dev = np.max(orthonormality_defect(m))
+    if dev > DECOMPOSITION:
+        raise InvalidStateError(f"operator fails unitarity by {dev}")
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized complex amplitude vector."""
@@ -89,13 +175,9 @@ class BipartitePureState:
     amps: np.ndarray
 
     def __post_init__(self):
-        amps = _as_complex(self.amps)
-        if amps.ndim != 2 or amps.size == 0:
+        if np.ndim(self.amps) != 2 or np.size(self.amps) == 0:
             raise InvalidStateError("bipartite amplitudes must be a 2-d matrix")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > CONSTRUCTION:
-            raise InvalidStateError(f"bipartite state norm {norm} is not 1")
-        object.__setattr__(self, "amps", _freeze(amps))
+        object.__setattr__(self, "amps", _freeze(check_pure_states(self.amps)))
 
     @property
     def dim_sys(self) -> int:
@@ -141,8 +223,7 @@ class SchmidtForm:
         if abs(np.sum(coeffs**2) - 1.0) > DECOMPOSITION:
             raise InvalidStateError("squared Schmidt coefficients must sum to 1")
         for vecs in (sys_vecs, env_vecs):
-            gram = vecs.conj().T @ vecs
-            if np.max(np.abs(gram - np.eye(rank))) > DECOMPOSITION:
+            if vecs.shape[-1] != rank or orthonormality_defect(vecs) > DECOMPOSITION:
                 raise InvalidStateError("Schmidt branch vectors must be orthonormal")
         object.__setattr__(self, "coeffs", _freeze(coeffs))
         object.__setattr__(self, "phases", _freeze(phases))
@@ -165,18 +246,9 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _as_complex(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if np.ndim(self.matrix) != 2:
             raise InvalidStateError("density operator must be square")
-        if np.max(np.abs(m - m.conj().T)) > CONSTRUCTION:
-            raise InvalidStateError("density operator must be Hermitian")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > DECOMPOSITION:
-            raise InvalidStateError(f"density operator trace {tr} is not 1")
-        lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < -DECOMPOSITION:
-            raise InvalidStateError(f"density operator has eigenvalue {lo} < 0")
-        object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "matrix", _freeze(check_density(self.matrix)))
 
     @property
     def dim(self) -> int:
@@ -200,13 +272,9 @@ class UnitaryOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _as_complex(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if np.ndim(self.matrix) != 2:
             raise InvalidStateError("unitary must be square")
-        dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-        if dev > DECOMPOSITION:
-            raise InvalidStateError(f"operator fails unitarity by {dev}")
-        object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "matrix", _freeze(check_unitary(self.matrix)))
 
     @property
     def dim(self) -> int:
@@ -301,11 +369,22 @@ def apply_local(state: BipartitePureState, u: UnitaryOperator, side: str) -> Bip
 # seeded random unitaries
 # ---------------------------------------------------------------------------
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryOperator:
-    """Haar-distributed unitary from QR of a complex Gaussian matrix."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def gaussian_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """dim x dim complex Gaussian: real parts drawn first, then imaginary."""
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def haar_stack(z: np.ndarray) -> np.ndarray:
+    """Haar-distributed Q of each complex Gaussian matrix of a stack.
+
+    Unchecked: callers validate with `check_unitary`, as UnitaryOperator does.
+    """
     q, r = np.linalg.qr(z)
     # fix the R diagonal phases so the distribution is exactly Haar
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return UnitaryOperator(q)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return scale_columns(q, d / np.abs(d))
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryOperator:
+    """Haar-distributed unitary from QR of a complex Gaussian matrix."""
+    return UnitaryOperator(haar_stack(gaussian_matrix(dim, rng)))

@@ -12,6 +12,7 @@ has an upper bound.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -286,13 +287,8 @@ def run_theorem_sweep(cfg: ScenarioConfig) -> RunReport:
     worst_restore = 0.0
     worst_reduced = 0.0
     for rank in range(1, max_rank + 1):
-        r_dists, q_dists = [], []
-        for trial in range(n_unitaries):
-            rng = np.random.default_rng([seed, rank, trial])
-            even = eq.make_even_state(rank, phases=rng.uniform(0, 2 * math.pi, rank), rng=rng)
-            report = eq.verify_no_local_evolution(even, hb.haar_unitary(rank, rng))
-            r_dists.append(report.restoration_distance)
-            q_dists.append(report.reduced_distance)
+        r_dists, q_dists = eq.no_evolution_sweep(
+            rank, (np.random.default_rng([seed, rank, trial]) for trial in range(n_unitaries)))
         restoration[str(rank)] = r_dists
         reduced[str(rank)] = q_dists
         worst_restore = max(worst_restore, max(r_dists))
@@ -431,6 +427,7 @@ def run_spectrum_split(cfg: ScenarioConfig) -> RunReport:
 
 
 HIGH_T_EPS_BETA = 0.01  # closed-form cycle relations are only claimed below this
+_Z_SWEEP_EPS_BETA = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
 def _gas_law_insertion_shift(engine: EngineConfig) -> float:
@@ -442,6 +439,18 @@ def _gas_law_insertion_shift(engine: EngineConfig) -> float:
     """
     dl = engine.barrier_width / engine.box_length
     return engine.kb * engine.temperature * math.log(1.0 / (1.0 - dl))
+
+
+@functools.cache
+def _z_error_sweep() -> tuple[float, ...]:
+    """Relative error of the Boltzmann-gas Z against the direct sum at
+    eps*beta 1e-1..1e-4.  It reads no config, so a process computes it once."""
+    sweep = []
+    for eb in _Z_SWEEP_EPS_BETA:
+        sweep_cfg = EngineConfig.natural(eps_beta=eb)
+        _, z = thermal_state(box_spectrum(sweep_cfg), sweep_cfg.temperature)
+        sweep.append(abs(z - z_boltzmann_gas(eb)) / z)
+    return tuple(sweep)
 
 
 def run_quantum_cycle(cfg: ScenarioConfig) -> RunReport:
@@ -494,18 +503,14 @@ def run_quantum_cycle(cfg: ScenarioConfig) -> RunReport:
     z_gas = z_boltzmann_gas(engine.eps_beta)
     rep.check_le("partition_sum_vs_boltzmann_gas_relative_error",
                  abs(z_exact - z_gas) / z_exact, 0.03, "closed-form", "relative")
-    sweep = []
-    for eb in (1e-1, 1e-2, 1e-3, 1e-4):
-        sweep_cfg = EngineConfig.natural(eps_beta=eb)
-        _, z = thermal_state(box_spectrum(sweep_cfg), sweep_cfg.temperature)
-        sweep.append(abs(z - z_boltzmann_gas(eb)) / z)
+    sweep = list(_z_error_sweep())
     rep.check_true("boltzmann_gas_error_monotone_decreasing",
                    all(b < a for a, b in zip(sweep, sweep[1:])), "definition")
 
     rep.data.update({
         "z_exact": z_exact,
         "z_boltzmann_gas": z_gas,
-        "z_error_sweep_eps_beta": [1e-1, 1e-2, 1e-3, 1e-4],
+        "z_error_sweep_eps_beta": list(_Z_SWEEP_EPS_BETA),
         "z_error_sweep": sweep,
         "kt": kt,
         "entries": [

@@ -1,6 +1,7 @@
 """Even states, counter-evolution, canonical counting, purification."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,16 +9,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from envstat import equilibrium as eq
 from envstat.equilibrium import (
     LevelLadder,
     canonical_by_counting,
     counter_evolution_for,
     make_even_state,
+    no_evolution_sweep,
     thermal_purification,
     verify_no_local_evolution,
 )
 from envstat.errors import (
     DimensionMismatchError,
+    InvalidStateError,
     SubspaceEscapeError,
     TruncationError,
 )
@@ -25,6 +29,8 @@ from envstat.hilbert import (
     BipartitePureState,
     UnitaryOperator,
     apply_local,
+    check_unitary,
+    dagger,
     haar_unitary,
     partial_trace_env,
 )
@@ -164,6 +170,110 @@ def test_no_local_evolution_negative_control():
         if report.reduced_distance > 1e-3:
             moved_count += 1
     assert moved_count >= 48
+
+
+# ---------------------------------------------------------------------------
+# the stacked sweep
+# ---------------------------------------------------------------------------
+
+def _per_trial_reference(rank, rng):
+    """One trial as make_even_state + haar_unitary + verify_no_local_evolution
+    computed it one state at a time: the oracle of the stacked sweep."""
+    def haar():
+        z = rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r)
+        return q * (d / np.abs(d))
+
+    phases = rng.uniform(0, 2 * math.pi, rank)
+    s, e = haar(), haar()
+    amps = (s * (np.exp(1j * phases) / np.sqrt(rank))) @ e.T
+    u = haar()
+    moved = u @ amps
+    rho_before = amps @ amps.conj().T
+    rho_after = moved @ moved.conj().T
+    rotated = u @ s
+    overlaps = rotated.conj().T @ s
+    partners = e @ (overlaps * np.exp(1j * phases)).T
+    mapped = partners * np.exp(-1j * phases)
+    u_env = np.eye(rank, dtype=np.complex128) - e @ e.conj().T + mapped @ e.conj().T
+    restored = moved @ u_env.T
+    return (float(np.linalg.norm(restored - amps)),
+            float(np.linalg.norm(rho_before - rho_after)))
+
+
+def _trial_rngs(seed, rank, n):
+    return (np.random.default_rng([seed, rank, t]) for t in range(n))
+
+
+@pytest.mark.parametrize("seed", [1, 2003, 12345])
+def test_stacked_sweep_is_bitwise_the_per_trial_loop(seed):
+    # rank 40 takes two chunks of 40 trials; rank 1 is the lone-pair product
+    for rank in [*range(1, 17), 40]:
+        ref = [_per_trial_reference(rank, rng) for rng in _trial_rngs(seed, rank, 50)]
+        for n in (1, 20, 50):
+            restoration, reduced = no_evolution_sweep(rank, _trial_rngs(seed, rank, n))
+            assert restoration == [r for r, _ in ref[:n]], (rank, n)
+            assert reduced == [q for _, q in ref[:n]], (rank, n)
+
+
+def _even_stack(rank, dim, n, seed):
+    """Arrays of n even states of the given rank on dim x dim, stacked."""
+    states = [make_even_state(rank, phases=np.full(rank, 0.3 * k), dim_sys=dim,
+                              dim_env=dim, rng=np.random.default_rng([seed, k]))
+              for k in range(n)]
+    amps = np.stack([st.state.amps for st in states])
+    return (np.stack([st.phases for st in states]),
+            np.stack([st.sys_vecs for st in states]),
+            np.stack([st.env_vecs for st in states]),
+            amps, amps @ dagger(amps))
+
+
+def _in_span_unitaries(sys_vecs, seed):
+    """Unitaries that rotate each state's branch span into itself."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for s in sys_vecs:
+        mix = haar_unitary(s.shape[1], rng).matrix
+        out.append(np.eye(s.shape[0]) - s @ s.conj().T + s @ mix @ s.conj().T)
+    return np.stack(out)
+
+
+def test_stack_with_one_leaking_unitary_fails_closed():
+    phases, s, e, amps, rho = _even_stack(rank=2, dim=3, n=4, seed=8)
+    u = _in_span_unitaries(s, 9)
+    u_env, reduced, restoration = eq.counter_evolve(phases, s, e, amps, rho, u)
+    assert np.all(restoration < 1e-10) and np.all(reduced < 1e-10)
+    u[2] = haar_unitary(3, np.random.default_rng(10)).matrix  # leaves the span
+    with pytest.raises(SubspaceEscapeError):
+        eq.counter_evolve(phases, s, e, amps, rho, u)
+
+
+def test_stack_with_one_non_unitary_member_fails_closed():
+    phases, s, e, amps, rho = _even_stack(rank=3, dim=3, n=4, seed=11)
+    u = _in_span_unitaries(s, 12)
+    check_unitary(u)
+    u[1] *= 1.0 + 1e-6
+    with pytest.raises(InvalidStateError, match="unitarity"):
+        check_unitary(u)
+    with pytest.raises(InvalidStateError):
+        eq.counter_evolve(phases, s, e, amps, rho, u)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_is_bounded_by_chunking():
+    budget = 32 * 2**20
+    assert _traced_peak(lambda: no_evolution_sweep(64, _trial_rngs(5, 64, 100))) <= budget
+    # the same 100 trials as one unchunked stack need several times more
+    assert _traced_peak(lambda: eq._sweep_stack(64, list(_trial_rngs(5, 64, 100)))) > budget
 
 
 # ---------------------------------------------------------------------------

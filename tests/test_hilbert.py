@@ -13,9 +13,12 @@ from envstat.hilbert import (
     StateVector,
     UnitaryOperator,
     apply_local,
+    check_density,
+    frobenius,
     haar_unitary,
     partial_trace_env,
     partial_trace_sys,
+    scale_columns,
     schmidt,
     tensor,
     von_neumann_entropy,
@@ -264,3 +267,30 @@ def test_random_instances_respect_invariants():
         rho = random_density_operator(dim, rng)
         assert abs(np.trace(rho.matrix).real - 1.0) < 1e-10
         assert rho.eigenvalues()[0] > -1e-10
+
+
+# ---------------------------------------------------------------------------
+# stacks: the helpers behind the containers agree with one matrix at a time
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(5, 1, 1), (5, 3, 2), (4, 16, 16), (3, 64, 64), (7, 7)])
+def test_stack_helpers_are_bitwise_per_matrix(shape):
+    rng = np.random.default_rng(sum(shape))
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    w = np.exp(1j * rng.uniform(0, 2 * math.pi, shape[:-2] + shape[-1:]))
+    stack_m = m.reshape((-1,) + shape[-2:])
+    stack_w = w.reshape((-1, shape[-1]))
+    norms = np.reshape(frobenius(m), -1)
+    scaled = scale_columns(m, w).reshape(stack_m.shape)
+    for k in range(stack_m.shape[0]):
+        assert norms[k] == np.linalg.norm(stack_m[k])
+        assert np.array_equal(scaled[k], stack_m[k] * stack_w[k])
+
+
+def test_density_check_rejects_one_bad_member_of_a_stack():
+    good = np.stack([np.eye(2) / 2] * 3).astype(complex)
+    check_density(good)
+    bad = good.copy()
+    bad[1] = np.diag([1.2, -0.2])
+    with pytest.raises(InvalidStateError, match="eigenvalue -0.2"):
+        check_density(bad)

@@ -59,6 +59,7 @@ __all__ = [
     "counter_evolution_for",
     "verify_no_local_evolution",
     "no_evolution_sweep",
+    "reduced_shifts",
     "canonical_by_counting",
     "thermal_purification",
 ]
@@ -289,15 +290,41 @@ def no_evolution_sweep(rank: int, rngs: Iterable[np.random.Generator]
     trials are stacked in chunks of at most _STACK_ENTRIES complex entries
     per rank x rank stack, so memory stays bounded at any trial count.
     """
-    rngs = iter(rngs)
-    chunk = max(1, _STACK_ENTRIES // rank**2)
     restoration: list[float] = []
     reduced: list[float] = []
-    while batch := list(itertools.islice(rngs, chunk)):
+    for batch in _chunks(rngs, rank):
         r_dists, q_dists = _sweep_stack(rank, batch)
         restoration.extend(r_dists.tolist())
         reduced.extend(q_dists.tolist())
     return restoration, reduced
+
+
+def reduced_shifts(state: BipartitePureState, rngs: Iterable[np.random.Generator]
+                   ) -> np.ndarray:
+    """Frobenius distance the reduced operator of `state` moves under one
+    system unitary per generator, drawn as `haar_unitary(state.dim_sys, rng)`.
+
+    The uneven-state counterpart of `no_evolution_sweep`, stacked in the
+    same chunks, with the checks `verify_no_local_evolution` makes on the
+    way to its reduced distance: unitarity, the moved state's norm and its
+    reduced operator.
+    """
+    rho = partial_trace_env(state).matrix
+    shifts = [np.empty(0)]
+    for batch in _chunks(rngs, state.dim_sys):
+        u_sys = check_unitary(haar_stack(
+            np.stack([gaussian_matrix(state.dim_sys, rng) for rng in batch])))
+        moved = check_pure_states(u_sys @ state.amps)
+        shifts.append(frobenius(rho - check_density(moved @ dagger(moved))))
+    return np.concatenate(shifts)
+
+
+def _chunks(rngs: Iterable[np.random.Generator], dim: int):
+    """The generators in runs of at most _STACK_ENTRIES // dim^2, one trial
+    per generator, so each dim x dim stack stays within the budget."""
+    rngs = iter(rngs)
+    while batch := list(itertools.islice(rngs, max(1, _STACK_ENTRIES // dim**2))):
+        yield batch
 
 
 def _sweep_stack(rank: int, rngs: list[np.random.Generator]):

@@ -13,6 +13,7 @@ has an upper bound.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -302,13 +303,9 @@ def run_theorem_sweep(cfg: ScenarioConfig) -> RunReport:
     # negative control: an uneven state is moved by generic unitaries
     uneven = hb.BipartitePureState(
         np.diag([math.sqrt(0.3), math.sqrt(0.7)]).astype(complex))
-    moved = 0
-    for trial in range(n_unitaries):
-        rng = np.random.default_rng([seed, 999, trial])
-        report = eq.verify_no_local_evolution(uneven, hb.haar_unitary(2, rng))
-        if report.reduced_distance > 1e-3:
-            moved += 1
-    fraction = moved / n_unitaries
+    shifts = eq.reduced_shifts(
+        uneven, (np.random.default_rng([seed, 999, trial]) for trial in range(n_unitaries)))
+    fraction = int(np.count_nonzero(shifts > 1e-3)) / n_unitaries
     rep.add("uneven_control_moved_fraction", fraction, 0.95, None,
             fraction >= 0.95, "definition", "fraction")
 
@@ -397,14 +394,16 @@ def run_spectrum_split(cfg: ScenarioConfig) -> RunReport:
                  float(np.max(np.abs(thin_e - box_e) / box_e)), 1e-6,
                  "closed-form", "relative")
 
-    # splitting dies away monotonically as the barrier grows
+    # splitting dies away monotonically as the barrier grows; a doublet whose
+    # splitting is below the solver's resolution at both heights (0 then 0)
+    # has nothing left to decrease
     deltas_by_u = [numeric.deltas] + [
         split_spectrum(replace(engine, barrier_height=engine.barrier_height * factor),
                        "numeric", n_pairs=n_pairs).deltas
         for factor in (2.0, 4.0, 8.0)]
     monotone = all(
-        np.all(deltas_by_u[i + 1] < deltas_by_u[i])
-        for i in range(len(deltas_by_u) - 1))
+        np.all((higher < lower) | ((higher == 0.0) & (lower == 0.0)))
+        for lower, higher in itertools.pairwise(deltas_by_u))
     rep.check_true("splitting_monotone_decreasing_in_barrier_height", monotone,
                    "definition")
     rep.check_true("doublets_narrow_against_centers", not numeric.wide, "definition")

@@ -5,7 +5,9 @@ the middle reorganizes the spectrum into near-degenerate doublets centered
 at eps' (2k)^2 and separated by twice the tunneling splitting Delta_k.  Two
 independent routes compute the doublets: a closed-form estimate and an
 exact transcendental quantization solve; a finite-difference Hamiltonian on
-a uniform grid acts as a second oracle for the numeric route.
+a uniform grid acts as a second oracle for the numeric route.  Its levels
+are the roots of a closed-form discrete phase per parity sector, so the
+oracle needs numpy alone and O(1) work per level and bisection step.
 """
 
 from __future__ import annotations
@@ -226,37 +228,117 @@ def split_spectrum(cfg: EngineConfig, mode: str = "numeric",
 # finite-difference oracle
 # ---------------------------------------------------------------------------
 
-def _fd_eigenvalues(cfg: EngineConfig, n_interior: int, n_pairs: int) -> np.ndarray:
-    """Lowest n_pairs eigenvalues of each parity sector of the grid
-    Hamiltonian on n_interior (odd) nodes, interleaved [sym_1, anti_1, ...].
-
-    The box and its centred barrier are mirror-symmetric and a node sits at
-    x = 0, so the tridiagonal Hamiltonian splits exactly into an even sector
-    (the centre node and the right half) and an odd one (the right half with
-    psi(0) = 0).  Scaling the even sector's off-centre amplitudes by sqrt(2)
-    keeps it symmetric, with -sqrt(2) t between the centre and its neighbour.
-    """
-    from scipy.linalg import eigh_tridiagonal  # the oracle alone needs scipy
-
+def _fd_grid(cfg: EngineConfig, n_interior: int):
+    """Cell-averaged potential on the centre node and the right half of the
+    grid on n_interior (odd) nodes, the number of leading cells wholly under
+    the barrier, and the hopping t = hbar^2 / (2 m dx^2)."""
     l, d, u = cfg.box_length, cfg.barrier_width, cfg.barrier_height
     dx = l / (n_interior + 1)
-    half = n_interior // 2  # nodes right of the centre
-    x = dx * np.arange(half + 1)
-    # cell-averaged potential: fraction of [x - dx/2, x + dx/2] under the
-    # barrier; a step exactly on a node counts half, sub-cell barriers keep
-    # their integrated weight
+    x = dx * np.arange(n_interior // 2 + 1)
+    # fraction of [x - dx/2, x + dx/2] under the barrier; a step exactly on
+    # a node counts half, sub-cell barriers keep their integrated weight,
+    # and a cell wholly inside is exactly u (the difference of overlaps
+    # would leave it a few ulp off)
     overlap = (np.minimum(x + dx / 2.0, d / 2.0)
                - np.maximum(x - dx / 2.0, -d / 2.0))
     v = u * np.clip(overlap, 0.0, None) / dx
-    t = cfg.hbar**2 / (2.0 * cfg.mass * dx * dx)
-    diag = 2.0 * t + v
-    off = np.full(half, -t)
-    off[0] = -math.sqrt(2.0) * t
-    lowest = dict(select="i", select_range=(0, n_pairs - 1), eigvals_only=True)
-    vals = np.empty(2 * n_pairs)
-    vals[0::2] = eigh_tridiagonal(diag, off, **lowest)
-    vals[1::2] = eigh_tridiagonal(diag[1:], off[1:], **lowest)
-    return vals
+    full = int(np.count_nonzero(x + dx / 2.0 <= d / 2.0))
+    v[:full] = u
+    return v, full, cfg.hbar**2 / (2.0 * cfg.mass * dx * dx)
+
+
+def _fd_eigenvalues(cfg: EngineConfig, n_interior, n_pairs: int) -> np.ndarray:
+    """Lowest n_pairs eigenvalues of each parity sector of the grid
+    Hamiltonian on n_interior (odd) nodes, interleaved [sym_1, anti_1, ...];
+    n_interior may be a sequence of grid sizes, solved together, one row each.
+
+    The box and its centred barrier are mirror-symmetric and a node sits at
+    x = 0, so the tridiagonal Hamiltonian splits exactly into an even sector
+    (psi_-1 = psi_1) and an odd one (psi_0 = 0) on the right half.  Its
+    potential has three pieces: m cells wholly under the barrier (exactly
+    U), one or two fractional edge cells, and the free well up to the wall
+    node psi_(half+1) = 0.  Each piece is carried in closed form by the
+    log-derivative s_i = psi_i / psi_(i-1) - 1 and the wall phase
+
+        Phi(E) = (half + 2 - j) theta + atan2(sin theta, s_j + E / 2t),
+
+    with theta = 2 asin(sqrt(E / 4t)) and j the first free node.  Under the
+    barrier (E < U, phi = 2 asinh(sqrt((U - E) / 4t))) the even sector has
+    s_m = (U - E)/2t + sinh(phi) tanh((m - 1) phi), the odd one the same
+    with coth; an edge cell steps s <- (v_i - E)/t + s / (1 + s).  While
+    every node ratio 1 + s_i is positive and theta < pi, Phi is continuous
+    and increasing (oscillation theorem for Jacobi matrices), and the k-th
+    level of the sector is its root of Phi = k pi, which lies where the
+    well term alone passes (k - 1) pi and k pi.  All roots are bisected
+    together to adjacent floats.  Raises RegimeError when a level reaches
+    past the barrier top or the grid is too coarse for the phase picture.
+    """
+    grids = np.atleast_1d(n_interior)
+    u = cfg.barrier_height
+    shape = (grids.size, 2, 1)  # grid, sector (even, odd), level
+    t, w, c, b, bar, n, nfree = (np.empty(shape) for _ in range(7))
+    starts = []
+    for g, size in enumerate(grids.tolist()):
+        v, m, t[g] = _fd_grid(cfg, size)
+        j = int(np.count_nonzero(v))  # the potential falls off monotonically
+        # per sector: first carried node p, then s_p = c (w - E)/t + b, plus
+        # the barrier-run term sinh(phi) tanh/coth(n phi) where bar = 1;
+        # with no full cell, psi_-1 = psi_1 gives s_1 = (v_0 - E)/2t
+        even = (m, u, 0.5, 0.0, 1.0, m - 1) if m >= 1 else (1, v[0], 0.5, 0.0, 0.0, 0)
+        # psi_0 = 0 makes s_1 infinite, so s_2 = (v_1 - E)/t + 1
+        odd = (m, u, 0.5, 0.0, 1.0, m - 1) if m >= 2 else (2, v[1], 1.0, 1.0, 0.0, 1)
+        for sector, (p, *start) in enumerate((even, odd)):
+            w[g, sector], c[g, sector], b[g, sector], bar[g, sector], n[g, sector] = start
+            starts.append((g, sector, p, v[p:max(j, p)]))
+    # step every sector through the same number of cells: a padded v = 0
+    # step is the free recurrence itself, so the well just starts later
+    width = max(len(cells) for *_, cells in starts)
+    steps = np.zeros((width,) + shape)
+    for g, sector, p, cells in starts:
+        steps[:len(cells), g, sector, 0] = cells
+        nfree[g, sector] = grids[g] // 2 + 2 - (p + width)
+
+    def wall_phase(e):
+        """(Phi(E), smallest node ratio 1 + s_i on the way to the well)."""
+        phi = 2.0 * np.arcsinh(np.sqrt((u - e) / (4.0 * t)))
+        run = np.tanh(n * phi)
+        run[:, 1] = 1.0 / run[:, 1]  # coth in the odd sector, where n >= 1
+        s = c * (w - e) / t + b + bar * np.sinh(phi) * run
+        ratio = 1.0 + s
+        for cell in steps:
+            s = (cell - e) / t + s / (1.0 + s)
+            ratio = np.minimum(ratio, 1.0 + s)
+        theta = 2.0 * np.arcsin(np.sqrt(e / (4.0 * t)))
+        return nfree * theta + np.arctan2(np.sin(theta), s + e / (2.0 * t)), ratio
+
+    k = np.arange(1, n_pairs + 1)
+    if n_pairs >= np.min(nfree):
+        raise RegimeError(
+            f"{n_pairs} finite-difference levels per sector need a finer grid "
+            f"than {int(np.min(grids))} nodes")
+    target = k * math.pi
+    lo = 4.0 * t * np.sin((k - 1) * math.pi / (2.0 * nfree)) ** 2
+    hi = np.minimum(4.0 * t * np.sin(k * math.pi / (2.0 * nfree)) ** 2,
+                    np.nextafter(u, 0.0))
+    phase_hi, ratio = wall_phase(hi)
+    if np.any(ratio <= 0.0):
+        raise RegimeError("finite-difference levels this high change sign inside "
+                          "the barrier edge cells; the grid is too coarse")
+    short = phase_hi < target
+    if np.any(short):
+        g, sector, level = np.argwhere(short)[0]
+        raise RegimeError(
+            f"finite-difference level {level + 1} of the {('even', 'odd')[sector]} "
+            f"sector reaches past the barrier top U = {u:g}")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if np.all((mid <= lo) | (mid >= hi)):
+            break
+        below = wall_phase(mid)[0] < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    vals = np.swapaxes(hi, -1, -2).reshape(grids.size, 2 * n_pairs)
+    return vals.reshape(np.shape(n_interior) + (2 * n_pairs,))
 
 
 def fd_pair_energies(cfg: EngineConfig, n_pairs: int) -> np.ndarray:
@@ -266,11 +348,13 @@ def fd_pair_energies(cfg: EngineConfig, n_pairs: int) -> np.ndarray:
     edges land exactly on nodes.  Richardson extrapolation against the
     half-resolution grid (5e3 intervals) removes the O(dx^2) truncation
     bias, which would otherwise sit near the 1e-6 relative level for the
-    fifth doublet.  Each grid is solved per parity sector.  Returned
-    ascending: [sym_1, anti_1, sym_2, anti_2, ...].
+    fifth doublet.  Each grid is solved per parity sector, every level as
+    the root of its sector's wall phase (see _fd_eigenvalues), both grids
+    in one vectorised bisection.  Returned ascending:
+    [sym_1, anti_1, sym_2, anti_2, ...].  Raises RegimeError for a level at
+    or above the barrier top, where the phase form stops.
     """
     if math.isinf(cfg.barrier_height):
         raise RegimeError("finite-difference oracle needs a finite barrier")
-    vals = _fd_eigenvalues(cfg, 9999, n_pairs)
-    half = _fd_eigenvalues(cfg, 4999, n_pairs)
-    return (4.0 * vals - half) / 3.0
+    fine, coarse = _fd_eigenvalues(cfg, (9999, 4999), n_pairs)
+    return (4.0 * fine - coarse) / 3.0

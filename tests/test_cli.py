@@ -4,7 +4,9 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from envstat.cli import main
 from envstat.errors import ConfigError
 from envstat.scenarios import SCENARIOS, resolve_config, run_scenario
+from envstat.szilard import split_spectrum
 
 
 def run_cli(args, capsys):
@@ -79,6 +82,22 @@ def test_invalid_engine_input_fails_closed(capsys, tmp_path, flags):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
+    assert not out_path.exists()
+
+
+def test_fd_levels_past_the_grid_resolution_fail_closed(capsys, tmp_path):
+    # levels near 9e6 sit above 2t of the 4999-node grid, where the centre
+    # cell's amplitude ratio changes sign and the grid cannot resolve them
+    cfg = tmp_path / "split.json"
+    cfg.write_text(json.dumps({
+        "engine": {"barrier_height": 1e8, "barrier_width": 3e-5, "n_trunc": 3000},
+        "params": {"n_pairs": 1500}}))
+    out_path = tmp_path / "never.json"
+    code, out, err = run_cli(
+        ["spectrum-split", "--config", str(cfg), "--out", str(out_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: finite-difference levels this high change sign inside "
+                   "the barrier edge cells; the grid is too coarse\n")
     assert not out_path.exists()
 
 
@@ -465,11 +484,33 @@ def test_no_scenario_prints_help(capsys):
     assert "scenario" in out
 
 
-def test_import_loads_no_scipy():
-    # scipy serves only the finite-difference oracle, imported when it runs
+def test_import_loads_no_scipy(tmp_path):
+    # the finite-difference oracle is solved with numpy alone, so neither
+    # the import nor a spectrum-split run loads scipy
+    scipy_modules = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, envstat.scenarios; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         f"import sys, envstat.scenarios; print({scipy_modules}); "
+         "from envstat.cli import main; "
+         f"code = main(['spectrum-split', '--out', {str(tmp_path / 'split.json')!r}]); "
+         f"print(code, {scipy_modules})"],
         capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "0 []"]
+
+
+def test_spectrum_split_passes_when_high_barriers_close_every_gap(capsys, tmp_path):
+    # at 4U and 8U every splitting is 0, below the solver's resolution, so
+    # 0 -> 0 has nothing left to decrease; Delta > 0 -> 0 at 2U -> 4U still
+    # counts as a decrease
+    engine = resolve_config({"scenario": "spectrum-split",
+                             "engine": {"barrier_height": 1e4}}).engine
+    deltas = [split_spectrum(replace(engine, barrier_height=1e4 * f), "numeric",
+                             n_pairs=5).deltas for f in (1, 2, 4, 8)]
+    assert np.all(deltas[0] > 0) and np.any(deltas[1] > 0)
+    assert np.all(deltas[2] == 0) and np.all(deltas[3] == 0)
+    out_path = tmp_path / "split.json"
+    code, _, err = run_cli(["spectrum-split", "--U", "1e4", "--out", str(out_path)], capsys)
+    assert (code, err) == (0, "spectrum-split: 4/4 checks passed\n")
+    checks = {c["name"]: c["passed"] for c in json.loads(out_path.read_text())["checks"]}
+    assert checks["splitting_monotone_decreasing_in_barrier_height"]
+    assert all(checks.values())

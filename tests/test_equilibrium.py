@@ -260,6 +260,20 @@ def test_stack_with_one_non_unitary_member_fails_closed():
         eq.counter_evolve(phases, s, e, amps, rho, u)
 
 
+@pytest.mark.parametrize("seed", [1, 2003, 12345])
+def test_reduced_shifts_are_bitwise_the_per_trial_control(seed, monkeypatch):
+    # theorem-sweep's negative control, one verify_no_local_evolution per
+    # trial before it was stacked; 16 entries per stack makes 4-trial chunks
+    monkeypatch.setattr(eq, "_STACK_ENTRIES", 16)
+    uneven = BipartitePureState(np.diag([math.sqrt(0.3), math.sqrt(0.7)]).astype(complex))
+    per_trial = [verify_no_local_evolution(
+        uneven, haar_unitary(2, np.random.default_rng([seed, 999, trial]))).reduced_distance
+        for trial in range(50)]
+    shifts = eq.reduced_shifts(
+        uneven, (np.random.default_rng([seed, 999, trial]) for trial in range(50)))
+    assert shifts.tolist() == per_trial
+
+
 def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:

@@ -2,8 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from envstat.errors import RegimeError
 from envstat.scenarios import resolve_config, run_scenario
@@ -14,7 +18,7 @@ from envstat.szilard import (
     fd_pair_energies,
     split_spectrum,
 )
-from envstat.szilard.spectrum import _fd_eigenvalues
+from envstat.szilard.spectrum import _fd_eigenvalues, _fd_grid
 from lr_oracles import lr_block_map, pair_wavefunctions
 
 
@@ -193,6 +197,124 @@ def test_parity_sectors_match_dense_full_grid(n_interior, u, d_over_l):
     assert np.max(np.abs(np.sort(sectors) - dense)) <= tol
     # sym_k < anti_k < sym_(k+1)
     assert np.all(np.diff(sectors) > 0)
+
+
+def _lapack_sectors(cfg, n_interior, n_pairs):
+    """Lowest n_pairs eigenvalues of the even and the odd sector by LAPACK
+    Sturm bisection (dstebz), each with its matrix's 1-norm; the sector
+    matrices are built here from the cell-averaged potential."""
+    l, d, u = cfg.box_length, cfg.barrier_width, cfg.barrier_height
+    dx = l / (n_interior + 1)
+    x = dx * np.arange(n_interior // 2 + 1)
+    overlap = np.minimum(x + dx / 2.0, d / 2.0) - np.maximum(x - dx / 2.0, -d / 2.0)
+    t = cfg.hbar**2 / (2.0 * cfg.mass * dx * dx)
+    diag = 2.0 * t + u * np.clip(overlap, 0.0, None) / dx
+    off = np.full(diag.size - 1, -t)
+    off[0] = -math.sqrt(2.0) * t  # even sector, amplitudes off the centre scaled by sqrt(2)
+    out = []
+    for dg, od in ((diag, off), (diag[1:], off[1:])):
+        vals = eigh_tridiagonal(dg, od, select="i", select_range=(0, n_pairs - 1),
+                                eigvals_only=True)
+        norm1 = np.max(np.abs(dg) + np.abs(np.r_[od, 0.0]) + np.abs(np.r_[0.0, od]))
+        out.append((vals, norm1))
+    return out
+
+
+def _assert_matches_lapack(cfg, n_interior, got, n_pairs):
+    eps = np.finfo(np.float64).eps
+    for sector, (ref, norm1) in enumerate(_lapack_sectors(cfg, n_interior, n_pairs)):
+        # level by level in the same order, each within a few ulp * ||T||_1
+        assert np.all(np.abs(got[sector::2] - ref) <= 4.0 * eps * norm1)
+
+
+@pytest.mark.parametrize("n_interior", [9999, 4999])
+@pytest.mark.parametrize("u", [1200.0, 4800.0, 9600.0])
+@pytest.mark.parametrize("d_over_l", [0.01, 0.05])
+def test_phase_solve_matches_lapack_bisection(n_interior, u, d_over_l):
+    cfg = finite_barrier_config(u=u, d_over_l=d_over_l, n_trunc=32)
+    _assert_matches_lapack(cfg, n_interior, _fd_eigenvalues(cfg, n_interior, 16), 16)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(u=st.floats(1200.0, 4800.0),
+       d_over_l=st.floats(0.0, 0.05, exclude_min=True))
+def test_phase_solve_matches_lapack_at_any_barrier(u, d_over_l):
+    cfg = finite_barrier_config(u=u, d_over_l=d_over_l, n_trunc=16)
+    both = _fd_eigenvalues(cfg, (9999, 4999), 5)
+    assert both.shape == (2, 10)
+    for n_interior, got in zip((9999, 4999), both):
+        _assert_matches_lapack(cfg, n_interior, got, 5)
+
+
+@pytest.mark.parametrize("d_over_l,full", [(0.003, 0), (0.01, 1), (0.02, 2)])
+@pytest.mark.parametrize("u", [1200.0, 4800.0])
+def test_phase_solve_with_few_full_barrier_cells(d_over_l, full, u):
+    # 201 nodes put 0, 1 or 2 cells wholly under the barrier: the even
+    # sector then starts from the fractional centre cell (0), and the odd
+    # one from psi_0 = 0 with s_2 = (v_1 - E)/t + 1 (0 and 1)
+    cfg = finite_barrier_config(u=u, d_over_l=d_over_l, n_trunc=32)
+    v, m, _ = _fd_grid(cfg, 201)
+    assert m == full and np.all(v[:m] == u) and 0.0 < v[m] < u
+    h = _dense_grid_hamiltonian(cfg, 201)
+    sectors = _fd_eigenvalues(cfg, 201, 16)
+    tol = 4.0 * np.finfo(np.float64).eps * np.linalg.norm(h, 2)
+    assert np.max(np.abs(np.sort(sectors) - np.linalg.eigvalsh(h)[:32])) <= tol
+    assert np.all(np.diff(sectors) > 0)
+
+
+def test_full_barrier_cells_are_exactly_u():
+    cfg = finite_barrier_config(u=4800.0, d_over_l=0.05)
+    v, m, _ = _fd_grid(cfg, 9999)
+    assert m == 250 and np.all(v[:m] == 4800.0)  # cell 250 is cut by the edge node
+    assert v[m] == pytest.approx(2400.0, rel=1e-12) and np.all(v[m + 1:] == 0.0)
+
+
+def test_fd_levels_past_the_barrier_top_fail_closed():
+    # the exact doublets 4 and 5 lie above U = 50; the FD oracle refuses
+    # them rather than returning the end of its bracket
+    with pytest.raises(RegimeError, match="finite-difference level 4 of the even "
+                       "sector reaches past the barrier top U = 50"):
+        fd_pair_energies(finite_barrier_config(u=50.0), 5)
+    assert fd_pair_energies(finite_barrier_config(u=50.0), 3).shape == (6,)
+
+
+def test_fd_levels_the_phase_picture_cannot_reach_fail_closed():
+    cfg = finite_barrier_config(u=1e4, d_over_l=0.01)
+    with pytest.raises(RegimeError, match="change sign inside the barrier edge cells"):
+        _fd_eigenvalues(cfg, 21, 6)  # level 6 of 21 nodes lies near 2t
+    with pytest.raises(RegimeError, match="need a finer grid than 21 nodes"):
+        _fd_eigenvalues(cfg, 21, 11)
+    _assert_matches_lapack(cfg, 21, _fd_eigenvalues(cfg, 21, 5), 5)
+
+
+@pytest.mark.parametrize("u", [1200.0, 4800.0])
+def test_numeric_roots_match_a_50_digit_solve(u):
+    """The 1e-12 root claim, checked against mpmath on the same float inputs."""
+    cfg = finite_barrier_config(u=u, n_trunc=32)
+    split = split_spectrum(cfg, "numeric", n_pairs=16)
+    with mpmath.workdps(50):
+        hbar, mass = mpmath.mpf(cfg.hbar), mpmath.mpf(cfg.mass)
+        w = (mpmath.mpf(cfg.box_length) - mpmath.mpf(cfg.barrier_width)) / 2
+        half_d = mpmath.mpf(cfg.barrier_width) / 2
+        height = mpmath.mpf(cfg.barrier_height)
+
+        def mismatch(e, anti):
+            q = mpmath.sqrt(2 * mass * e) / hbar
+            kappa = mpmath.sqrt(2 * mass * (height - e)) / hbar
+            edge = mpmath.coth(kappa * half_d) if anti else mpmath.tanh(kappa * half_d)
+            return q * mpmath.cot(q * w) + kappa * edge
+
+        def energy_at(qw):
+            return (hbar * qw / w) ** 2 / (2 * mass)
+
+        for k, center, delta in zip(split.k.tolist(), split.centers.tolist(),
+                                    split.deltas.tolist()):
+            lo, hi = energy_at((k - 1) * mpmath.pi + 1e-9), energy_at(k * mpmath.pi - 1e-12)
+            for anti, got in ((False, center - delta), (True, center + delta)):
+                root = mpmath.findroot(lambda e, anti=anti: mismatch(e, anti), (lo, hi),
+                                       solver="anderson")
+                assert lo < root < hi
+                assert abs(got - root) <= 1e-12 * root
 
 
 @pytest.mark.parametrize("u", [1200.0, 4800.0])

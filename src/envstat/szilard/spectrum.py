@@ -326,7 +326,7 @@ def _fd_eigenvalues(cfg: EngineConfig, n_interior, n_pairs: int) -> np.ndarray:
                           "the barrier edge cells; the grid is too coarse")
     short = phase_hi < target
     if np.any(short):
-        g, sector, level = np.argwhere(short)[0]
+        _, sector, level = np.argwhere(short)[0]
         raise RegimeError(
             f"finite-difference level {level + 1} of the {('even', 'odd')[sector]} "
             f"sector reaches past the barrier top U = {u:g}")

@@ -30,6 +30,7 @@ from .szilard import (
     classical_ensemble_cycle,
     fd_pair_energies,
     free_energy_ledger,
+    split_spectra,
     split_spectrum,
     thermal_state,
     z_boltzmann_gas,
@@ -371,13 +372,20 @@ def run_spectrum_split(cfg: ScenarioConfig) -> RunReport:
     engine = cfg.engine
     n_pairs = cfg.params["n_pairs"]
 
-    numeric = split_spectrum(engine, "numeric", n_pairs=n_pairs)
+    u = engine.barrier_height
+    # the spectra at U, with a 1e-12 L barrier, and at 2U, 4U and 8U are
+    # solved together; each one's errors surface where its step comes
+    spectra = split_spectra(
+        [engine, replace(engine, barrier_width=1e-12 * engine.box_length)]
+        + [replace(engine, barrier_height=u * factor) for factor in (2.0, 4.0, 8.0)],
+        n_pairs)
+    numeric = next(spectra)
     formula = split_spectrum(engine, "formula", n_pairs=n_pairs)
     excluded = sorted(set(numeric.excluded) | set(formula.excluded))
     if excluded:
         raise RegimeError(
             f"doublets {excluded[0]}..{excluded[-1]} of the {n_pairs} requested reach "
-            f"past the barrier top U = {engine.barrier_height:g}; lower n_pairs or raise U")
+            f"past the barrier top U = {u:g}; lower n_pairs or raise U")
     fd = fd_pair_energies(engine, numeric.count)
 
     exact = numeric.energies
@@ -387,8 +395,7 @@ def run_spectrum_split(cfg: ScenarioConfig) -> RunReport:
 
     # removing the barrier must reproduce the bare box; the width must be
     # small enough that the first-order shift U d |psi(0)|^2 is negligible
-    thin = replace(engine, barrier_width=1e-12 * engine.box_length)
-    thin_e = split_spectrum(thin, "numeric", n_pairs=n_pairs).energies
+    thin_e = next(spectra).energies
     box_e = BoxSpectrum(engine.epsilon, thin_e.size).energies
     rep.check_le("vanishing_barrier_max_relative_difference",
                  float(np.max(np.abs(thin_e - box_e) / box_e)), 1e-6,
@@ -397,10 +404,7 @@ def run_spectrum_split(cfg: ScenarioConfig) -> RunReport:
     # splitting dies away monotonically as the barrier grows; a doublet whose
     # splitting is below the solver's resolution at both heights (0 then 0)
     # has nothing left to decrease
-    deltas_by_u = [numeric.deltas] + [
-        split_spectrum(replace(engine, barrier_height=engine.barrier_height * factor),
-                       "numeric", n_pairs=n_pairs).deltas
-        for factor in (2.0, 4.0, 8.0)]
+    deltas_by_u = [numeric.deltas] + [split.deltas for split in spectra]
     monotone = all(
         np.all((higher < lower) | ((higher == 0.0) & (lower == 0.0)))
         for lower, higher in itertools.pairwise(deltas_by_u))
@@ -408,6 +412,12 @@ def run_spectrum_split(cfg: ScenarioConfig) -> RunReport:
                    "definition")
     rep.check_true("doublets_narrow_against_centers", not numeric.wide, "definition")
 
+    # a splitting of 0 at U leaves the formula nothing to be compared with
+    closed = np.flatnonzero(numeric.deltas == 0.0)
+    if closed.size:
+        raise RegimeError(
+            f"doublet {numeric.k[closed[0]]} splitting at U = {u:g} is 0, below the "
+            "1e-12 relative resolution of its roots; lower U or d")
     rows = tuple(
         (k, center, d_formula, d_numeric, d_formula / d_numeric)
         for k, center, d_formula, d_numeric in zip(
@@ -420,7 +430,7 @@ def run_spectrum_split(cfg: ScenarioConfig) -> RunReport:
         "epsilon_prime": numeric.epsilon_prime,
         "fd_energies": fd.tolist(),
         "numeric_energies": exact.tolist(),
-        "barrier_heights_swept": [engine.barrier_height * f for f in (1, 2, 4, 8)],
+        "barrier_heights_swept": [u * f for f in (1, 2, 4, 8)],
     })
     return rep
 

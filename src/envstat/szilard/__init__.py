@@ -22,6 +22,7 @@ from .spectrum import (
     SplitSpectrum,
     box_spectrum,
     fd_pair_energies,
+    split_spectra,
     split_spectrum,
 )
 
@@ -31,6 +32,7 @@ __all__ = [
     "SplitSpectrum",
     "box_spectrum",
     "split_spectrum",
+    "split_spectra",
     "fd_pair_energies",
     "EngineState",
     "MeasurementOutcome",

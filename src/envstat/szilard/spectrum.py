@@ -4,7 +4,9 @@ The bare box has levels eps * n^2.  Inserting a thin barrier of height U in
 the middle reorganizes the spectrum into near-degenerate doublets centered
 at eps' (2k)^2 and separated by twice the tunneling splitting Delta_k.  Two
 independent routes compute the doublets: a closed-form estimate and an
-exact transcendental quantization solve; a finite-difference Hamiltonian on
+exact transcendental quantization solve, which bisects every root of a
+batch of configs together in numpy with its bits pinned to libm's tan and
+tanh; a finite-difference Hamiltonian on
 a uniform grid acts as a second oracle for the numeric route.  Its levels
 are the roots of a closed-form discrete phase per parity sector, so the
 oracle needs numpy alone and O(1) work per level and bisection step.
@@ -12,7 +14,9 @@ oracle needs numpy alone and O(1) work per level and bisection step.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +30,7 @@ __all__ = [
     "SplitSpectrum",
     "box_spectrum",
     "split_spectrum",
+    "split_spectra",
     "fd_pair_energies",
 ]
 
@@ -132,95 +137,161 @@ def _formula_split(cfg: EngineConfig, n_pairs: int) -> SplitSpectrum:
                          tuple(range(k.size + 1, n_pairs + 1)))
 
 
-def _quantization_mismatch(energy: float, cfg: EngineConfig, antisymmetric: bool) -> float:
-    """Logarithmic-derivative mismatch at the barrier edge; zero at eigenvalues.
+# scipy.optimize.bisect's tolerances and step limit, per root
+_XTOL, _RTOL, _MAXITER = 1e-14, 1e-12, 100
+# a mismatch within this share of its two terms' size may take its sign
+# from the last bits of tan and tanh, where numpy's SIMD kernels and libm
+# part (by up to 1 and 3 ulp on x86-64 with AVX-512, numpy 2.4, glibc 2.36)
+_PIN = 64.0 * np.finfo(np.float64).eps
+
+
+def _mismatch(e: np.ndarray, p: tuple, tan, tanh) -> tuple[np.ndarray, np.ndarray]:
+    """Logarithmic-derivative mismatch at the barrier edge, zero at
+    eigenvalues, and the size |q cot(q w)| + |barrier term| of its terms.
 
     q cot(q w) + kappa tanh(kappa d / 2) for symmetric states,
     q cot(q w) + kappa coth(kappa d / 2) for antisymmetric ones,
-    with w = (L - d)/2 the well width.
+    with w = (L - d)/2 the well width.  p holds each root's
+    (2m, hbar, U, d/2, w, antisymmetric); the operations run in the order
+    of the scalar formula, so only tan and tanh can round differently.
     """
-    hbar, m = cfg.hbar, cfg.mass
-    w = (cfg.box_length - cfg.barrier_width) / 2.0
-    half_d = cfg.barrier_width / 2.0
-    q = math.sqrt(2.0 * m * energy) / hbar
-    kappa = math.sqrt(2.0 * m * (cfg.barrier_height - energy)) / hbar
-    kd = kappa * half_d
-    if antisymmetric:
-        barrier = kappa / math.tanh(kd) if kd < 350 else kappa
-    else:
-        barrier = kappa * math.tanh(kd)
-    return q / math.tan(q * w) + barrier
+    two_m, hbar, u, half_d, w, anti = p
+    q = np.sqrt(two_m * e) / hbar
+    kappa = np.sqrt(two_m * (u - e)) / hbar
+    edge = tanh(kappa * half_d)
+    well = q / tan(q * w)
+    barrier = np.divide(kappa, edge, out=kappa * edge, where=anti)
+    return well + barrier, np.abs(well) + np.abs(barrier)
 
 
-def _bisect(f, a: float, b: float, fa: float, fb: float,
-            xtol: float, rtol: float, maxiter: int = 100) -> float:
-    """Root of f in [a, b] given fa = f(a) != 0 and fb = f(b) of the other sign.
+def _libm_mismatch(e: np.ndarray, p: tuple) -> np.ndarray:
+    return _mismatch(e, p, functools.partial(_libm, math.tan),
+                     functools.partial(_libm, math.tanh))[0]
 
-    The iteration of scipy.optimize.bisect, step for step, so the roots are
-    bit-identical to it: halve the step, move the left end while the sign
-    matches f(a), stop once |step| < xtol + rtol |midpoint|.
+
+def _pinned_mismatch(e: np.ndarray, p: tuple) -> np.ndarray:
+    """The mismatch through numpy's tan and tanh, taken again from libm
+    wherever their last bits could decide its sign or zero."""
+    f, size = _mismatch(e, p, np.tan, np.tanh)
+    near = np.abs(f) <= _PIN * size
+    if near.any():
+        f[near] = _libm_mismatch(e[near], tuple(x[near] for x in p))
+    return f
+
+
+def _bisect(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
+            p: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of the mismatch in [a, b], one per element, given fa != 0 and
+    fb of the other sign or zero.
+
+    Each element runs the iteration of scipy.optimize.bisect step for step,
+    so the roots are bit-identical to it: halve the step, move the left end
+    while the sign matches f(a), stop once f(mid) = 0 or
+    |step| < xtol + rtol |mid|.  Returns the roots and the indices of the
+    elements that did not stop within maxiter steps.
     """
-    if fb == 0.0:
-        return b
-    dm = b - a
-    for _ in range(maxiter):
+    roots = b.copy()
+    live = np.flatnonzero(fb != 0.0)
+    a, fa, dm = a[live], fa[live], b[live] - a[live]
+    p = tuple(x[live] for x in p)
+    for _ in range(_MAXITER):
+        if not live.size:
+            break
         dm *= 0.5
         xm = a + dm
-        fm = f(xm)
-        if fm * fa >= 0.0:
-            a = xm
-        if fm == 0.0 or abs(dm) < xtol + rtol * abs(xm):
-            return xm
-    raise BracketingError(f"bisection did not converge in {maxiter} steps")
+        fm = _pinned_mismatch(xm, p)
+        a = np.where(fm * fa >= 0.0, xm, a)
+        stop = (fm == 0.0) | (np.abs(dm) < _XTOL + _RTOL * np.abs(xm))
+        if stop.any():
+            roots[live[stop]] = xm[stop]
+            keep = ~stop
+            live, a, fa, dm = live[keep], a[keep], fa[keep], dm[keep]
+            p = tuple(x[keep] for x in p)
+    return roots, live
 
 
-def _numeric_split(cfg: EngineConfig, n_pairs: int) -> SplitSpectrum:
-    if math.isinf(cfg.barrier_height):
-        raise RegimeError("numeric mode needs a finite barrier; use formula mode")
+def _root_windows(cfg: EngineConfig, n_pairs: int) -> np.ndarray:
+    """Bracket (lo, hi) of each doublet below the barrier top, one row per
+    doublet: doublet k's two roots lie where q w runs from (k - 1) pi to k pi."""
     hbar, m = cfg.hbar, cfg.mass
     w = (cfg.box_length - cfg.barrier_width) / 2.0
 
     def energy_at(qw: float) -> float:
-        return (hbar * qw / w) ** 2 / (2.0 * m)
+        return (hbar * qw / w) ** 2 / (2.0 * m)  # libm pow, as the levels always took it
 
-    roots: list[float] = []  # e_sym, e_anti per retained doublet
-    retained = 0
-    for k in range(1, n_pairs + 1):
-        if energy_at(k * math.pi) >= cfg.barrier_height:
-            break  # this doublet and every higher one reach past the barrier top
-        lo = energy_at((k - 1) * math.pi + 1e-9)
-        hi = energy_at(k * math.pi - 1e-12)
-        for anti in (False, True):
-            def f(e, anti=anti):
-                return _quantization_mismatch(e, cfg, anti)
-            fa, fb = f(lo), f(hi)
-            if fa == 0.0:
-                roots.append(lo)
-                continue
-            if np.sign(fa) == np.sign(fb):
+    retained = 0  # past the first window whose top reaches U, every higher one does
+    while retained < n_pairs and energy_at((retained + 1) * math.pi) < cfg.barrier_height:
+        retained += 1
+    return np.array([(energy_at((k - 1) * math.pi + 1e-9), energy_at(k * math.pi - 1e-12))
+                     for k in range(1, retained + 1)], dtype=np.float64).reshape(retained, 2)
+
+
+def split_spectra(cfgs: Iterable[EngineConfig], n_pairs: int) -> Iterator[SplitSpectrum]:
+    """Numeric doublet spectra of several engines, their n_pairs lowest
+    doublets each, with every quantization root bisected together.
+
+    The roots are those of the scalar bisection to 1e-12 relative tolerance,
+    bit for bit: the bracket ends and any mismatch too small to sign
+    through numpy's tan and tanh are evaluated by libm.  The spectra are
+    yielded in config order, and a config's error (an infinite barrier, a
+    window without a sign change, a bisection that does not converge, or
+    doublets SplitSpectrum rejects) is raised when its turn comes, so a
+    caller may take its own steps between them.
+    """
+    cfgs = tuple(cfgs)
+    finite = [cfg for cfg in cfgs if not math.isinf(cfg.barrier_height)]
+    windows = [_root_windows(cfg, n_pairs) for cfg in finite]
+    pairs = np.array([len(win) for win in windows], dtype=np.int64)
+    per_config = np.array([(2.0 * c.mass, c.hbar, c.barrier_height, c.barrier_width / 2.0,
+                            (c.box_length - c.barrier_width) / 2.0) for c in finite])
+    p = (*np.repeat(per_config.reshape(-1, 5), 2 * pairs, axis=0).T,
+         np.tile([False, True], int(pairs.sum())))
+    # roots run config by config, doublet by doublet, symmetric then antisymmetric
+    lo, hi = np.repeat(np.concatenate([np.empty((0, 2)), *windows]), 2, axis=0).T
+    # a term or product past the float range is inf, as with Python floats
+    with np.errstate(over="ignore"):
+        fa, fb = _libm_mismatch(lo, p), _libm_mismatch(hi, p)
+        unbracketed = (fa != 0.0) & (np.sign(fa) == np.sign(fb))
+        solve = np.flatnonzero((fa != 0.0) & ~unbracketed)
+        roots = lo.copy()
+        roots[solve], stuck = _bisect(lo[solve], hi[solve], fa[solve], fb[solve],
+                                      tuple(x[solve] for x in p))
+    failed = unbracketed.copy()
+    failed[solve[stuck]] = True
+
+    solved = iter(zip(windows, np.cumsum(2 * pairs) - 2 * pairs))
+    for cfg in cfgs:
+        if math.isinf(cfg.barrier_height):
+            raise RegimeError("numeric mode needs a finite barrier; use formula mode")
+        win, start = next(solved)
+        retained = len(win)
+        bad = np.flatnonzero(failed[start:start + 2 * retained])
+        if bad.size:
+            j = int(bad[0])
+            if unbracketed[start + j]:
                 raise BracketingError(
-                    f"no sign change for doublet {k} "
-                    f"({'anti' if anti else 'sym'}) in window [{lo:.6g}, {hi:.6g}]")
-            roots.append(_bisect(f, lo, hi, fa, fb, xtol=1e-14, rtol=1e-12))
-        retained = k
-    pair_roots = np.array(roots).reshape(retained, 2)
-    e_sym, e_anti = pair_roots[:, 0], pair_roots[:, 1]
-    return SplitSpectrum(cfg.epsilon_prime, np.arange(1, retained + 1),
-                         (e_anti + e_sym) / 2.0, (e_anti - e_sym) / 2.0, "numeric",
-                         tuple(range(retained + 1, n_pairs + 1)))
+                    f"no sign change for doublet {j // 2 + 1} "
+                    f"({'anti' if j % 2 else 'sym'}) in window "
+                    f"[{win[j // 2, 0]:.6g}, {win[j // 2, 1]:.6g}]")
+            raise BracketingError(f"bisection did not converge in {_MAXITER} steps")
+        e_sym, e_anti = roots[start:start + 2 * retained].reshape(retained, 2).T
+        yield SplitSpectrum(cfg.epsilon_prime, np.arange(1, retained + 1),
+                            (e_anti + e_sym) / 2.0, (e_anti - e_sym) / 2.0, "numeric",
+                            tuple(range(retained + 1, n_pairs + 1)))
 
 
 def split_spectrum(cfg: EngineConfig, mode: str = "numeric",
                    n_pairs: int | None = None) -> SplitSpectrum:
     """Doublet spectrum; mode "formula" uses the closed-form splitting,
     mode "numeric" solves the quantization conditions by bracketed bisection
-    to 1e-12 relative tolerance."""
+    to 1e-12 relative tolerance, as the batch of one of split_spectra: all
+    roots bisected together, bit for bit the scalar libm solve."""
     if n_pairs is None:
         n_pairs = max(cfg.n_trunc // 2, 1)
     if mode == "formula":
         return _formula_split(cfg, n_pairs)
     if mode == "numeric":
-        return _numeric_split(cfg, n_pairs)
+        return next(split_spectra((cfg,), n_pairs))
     raise ValueError(f"unknown split mode {mode!r}")
 
 

@@ -1,13 +1,92 @@
-"""L/R-basis oracles for the engine tests: doublet eigenfunctions on a grid,
-the split box's Gibbs state in the energy basis, and the block rotation
-between the energy and the left/right bases."""
+"""Oracles for the engine tests: the scalar quantization solve, doublet
+eigenfunctions on a grid, the split box's Gibbs state in the energy basis,
+and the block rotation between the energy and the left/right bases."""
 
 import math
 
 import numpy as np
 
-from envstat.errors import RegimeError
+from envstat.errors import BracketingError, RegimeError
 from envstat.szilard import EngineConfig, EngineState, SplitSpectrum, split_partition_function
+
+
+def quantization_mismatch(energy: float, cfg: EngineConfig, antisymmetric: bool) -> float:
+    """Logarithmic-derivative mismatch at the barrier edge; zero at eigenvalues.
+
+    q cot(q w) + kappa tanh(kappa d / 2) for symmetric states,
+    q cot(q w) + kappa coth(kappa d / 2) for antisymmetric ones,
+    with w = (L - d)/2 the well width.
+    """
+    hbar, m = cfg.hbar, cfg.mass
+    w = (cfg.box_length - cfg.barrier_width) / 2.0
+    half_d = cfg.barrier_width / 2.0
+    q = math.sqrt(2.0 * m * energy) / hbar
+    kappa = math.sqrt(2.0 * m * (cfg.barrier_height - energy)) / hbar
+    kd = kappa * half_d
+    if antisymmetric:
+        barrier = kappa / math.tanh(kd) if kd < 350 else kappa
+    else:
+        barrier = kappa * math.tanh(kd)
+    return q / math.tan(q * w) + barrier
+
+
+def bisect(f, a: float, b: float, fa: float, fb: float,
+           xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of f in [a, b] given fa = f(a) != 0 and fb = f(b) of the other sign.
+
+    The iteration of scipy.optimize.bisect, step for step, so the roots are
+    bit-identical to it: halve the step, move the left end while the sign
+    matches f(a), stop once |step| < xtol + rtol |midpoint|.
+    """
+    if fb == 0.0:
+        return b
+    dm = b - a
+    for _ in range(maxiter):
+        dm *= 0.5
+        xm = a + dm
+        fm = f(xm)
+        if fm * fa >= 0.0:
+            a = xm
+        if fm == 0.0 or abs(dm) < xtol + rtol * abs(xm):
+            return xm
+    raise BracketingError(f"bisection did not converge in {maxiter} steps")
+
+
+def scalar_numeric_split(cfg: EngineConfig, n_pairs: int):
+    """(centers, deltas, excluded) of split_spectrum(cfg, "numeric", n_pairs),
+    one root at a time through libm: the bitwise oracle of the batched solve."""
+    if math.isinf(cfg.barrier_height):
+        raise RegimeError("numeric mode needs a finite barrier; use formula mode")
+    hbar, m = cfg.hbar, cfg.mass
+    w = (cfg.box_length - cfg.barrier_width) / 2.0
+
+    def energy_at(qw: float) -> float:
+        return (hbar * qw / w) ** 2 / (2.0 * m)
+
+    roots: list[float] = []  # e_sym, e_anti per retained doublet
+    retained = 0
+    for k in range(1, n_pairs + 1):
+        if energy_at(k * math.pi) >= cfg.barrier_height:
+            break  # this doublet and every higher one reach past the barrier top
+        lo = energy_at((k - 1) * math.pi + 1e-9)
+        hi = energy_at(k * math.pi - 1e-12)
+        for anti in (False, True):
+            def f(e, anti=anti):
+                return quantization_mismatch(e, cfg, anti)
+            fa, fb = f(lo), f(hi)
+            if fa == 0.0:
+                roots.append(lo)
+                continue
+            if np.sign(fa) == np.sign(fb):
+                raise BracketingError(
+                    f"no sign change for doublet {k} "
+                    f"({'anti' if anti else 'sym'}) in window [{lo:.6g}, {hi:.6g}]")
+            roots.append(bisect(f, lo, hi, fa, fb, xtol=1e-14, rtol=1e-12))
+        retained = k
+    pair_roots = np.array(roots).reshape(retained, 2)
+    e_sym, e_anti = pair_roots[:, 0], pair_roots[:, 1]
+    return ((e_anti + e_sym) / 2.0, (e_anti - e_sym) / 2.0,
+            tuple(range(retained + 1, n_pairs + 1)))
 
 
 def pair_wavefunctions(cfg: EngineConfig, lower: float, upper: float,

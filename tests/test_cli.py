@@ -514,3 +514,24 @@ def test_spectrum_split_passes_when_high_barriers_close_every_gap(capsys, tmp_pa
     checks = {c["name"]: c["passed"] for c in json.loads(out_path.read_text())["checks"]}
     assert checks["splitting_monotone_decreasing_in_barrier_height"]
     assert all(checks.values())
+
+
+@pytest.mark.parametrize("engine", [
+    {"barrier_height": 3e7},
+    {"barrier_height": 1e8},
+    {"barrier_height": 1e5, "barrier_width": 0.03 * math.pi},
+    {"barrier_height": 1e6, "barrier_width": 0.01 * math.pi},
+])
+def test_spectrum_split_with_a_closed_doublet_at_u_fails_closed(capsys, tmp_path, engine):
+    # doublet 1's numeric splitting at U itself is 0, so the table has no
+    # ratio of the formula to it (at --U 1e4 only 4U and 8U close, and the
+    # run passes)
+    cfg = tmp_path / "split.json"
+    cfg.write_text(json.dumps({"engine": engine}))
+    out_path = tmp_path / "never.json"
+    code, out, err = run_cli(
+        ["spectrum-split", "--config", str(cfg), "--out", str(out_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: doublet 1 splitting at U = {engine['barrier_height']:g} is 0, "
+                   "below the 1e-12 relative resolution of its roots; lower U or d\n")
+    assert not out_path.exists()

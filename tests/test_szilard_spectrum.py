@@ -1,6 +1,8 @@
 """Box and split spectra, oracles, limits, wavefunctions."""
 
+import itertools
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -9,17 +11,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from envstat.errors import RegimeError
+from envstat.errors import EnvstatError, RegimeError
 from envstat.scenarios import resolve_config, run_scenario
 from envstat.szilard import (
     EngineConfig,
     SplitSpectrum,
     box_spectrum,
     fd_pair_energies,
+    split_spectra,
     split_spectrum,
 )
-from envstat.szilard.spectrum import _fd_eigenvalues, _fd_grid
-from lr_oracles import lr_block_map, pair_wavefunctions
+from envstat.szilard.spectrum import _fd_eigenvalues, _fd_grid, _mismatch, _pinned_mismatch
+from lr_oracles import (
+    bisect,
+    lr_block_map,
+    pair_wavefunctions,
+    quantization_mismatch,
+    scalar_numeric_split,
+)
 
 
 def finite_barrier_config(u=1200.0, d_over_l=0.05, n_trunc=12):
@@ -412,9 +421,7 @@ def test_split_spectrum_rejects_merged_members_and_ragged_arrays():
 
 @pytest.mark.parametrize("u", [1200.0, 2400.0, 3600.0, 4800.0])
 def test_ported_bisect_is_bit_identical_to_scipy(u):
-    from scipy.optimize import bisect
-
-    from envstat.szilard.spectrum import _bisect, _quantization_mismatch
+    from scipy.optimize import bisect as scipy_bisect
 
     cfg = finite_barrier_config(u=u, n_trunc=32)
     w = (cfg.box_length - cfg.barrier_width) / 2.0
@@ -427,6 +434,122 @@ def test_ported_bisect_is_bit_identical_to_scipy(u):
         hi = energy_at(k * math.pi - 1e-12)
         for anti in (False, True):
             def f(e):
-                return _quantization_mismatch(e, cfg, anti)
-            ours = _bisect(f, lo, hi, f(lo), f(hi), xtol=1e-14, rtol=1e-12)
-            assert ours == bisect(f, lo, hi, xtol=1e-14, rtol=1e-12)
+                return quantization_mismatch(e, cfg, anti)
+            ours = bisect(f, lo, hi, f(lo), f(hi), xtol=1e-14, rtol=1e-12)
+            assert ours == scipy_bisect(f, lo, hi, xtol=1e-14, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the batched numeric split against the scalar libm oracle
+# ---------------------------------------------------------------------------
+
+def _assert_bitwise_oracle(cfgs, n_pairs):
+    """Each spectrum of one batched solve equals the scalar solve's bit for
+    bit, and a config the scalar solve rejects raises the same error."""
+    spectra = split_spectra(cfgs, n_pairs)
+    for i, cfg in enumerate(cfgs):
+        try:
+            centers, deltas, excluded = scalar_numeric_split(cfg, n_pairs)
+        except EnvstatError as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                next(spectra)
+            spectra = split_spectra(cfgs[i + 1:], n_pairs)
+            continue
+        split = next(spectra)
+        assert np.array_equal(split.centers, centers)
+        assert np.array_equal(split.deltas, deltas)
+        assert split.excluded == excluded
+
+
+_barrier_configs = st.builds(
+    lambda log_u, d_over_l: finite_barrier_config(u=math.exp(log_u), d_over_l=d_over_l,
+                                                  n_trunc=80),
+    st.floats(math.log(50.0), math.log(1e6)),
+    st.floats(0.0, 0.05, exclude_min=True))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cfgs=st.one_of(st.lists(_barrier_configs, min_size=1, max_size=1),
+                      st.lists(_barrier_configs, min_size=5, max_size=5)),
+       n_pairs=st.integers(1, 40))
+def test_batched_split_is_bitwise_the_scalar_libm_solve(cfgs, n_pairs):
+    _assert_bitwise_oracle(cfgs, n_pairs)
+
+
+def _nudged(fn, ulps):
+    def nudged(x):
+        return (fn(x).view(np.int64) + ulps).view(np.float64)
+    return nudged
+
+
+_NUDGED_CFGS = [finite_barrier_config(u=u, d_over_l=d, n_trunc=80)
+                for u, d in ((1200.0, 0.05), (4800.0, 0.01), (3e4, 0.003), (2e5, 0.03),
+                             (1200.0, 1e-12), (7071.067811865475, 1e-4))]
+
+
+@pytest.mark.parametrize("ulps", [4, -4])
+def test_split_roots_do_not_depend_on_the_last_bits_of_simd_tan_and_tanh(
+        monkeypatch, ulps):
+    # numpy's tan and tanh part from libm by up to 1 and 3 ulp here; pushed
+    # 4 ulp away, every sign the bisection reads must still be libm's
+    monkeypatch.setattr(np, "tan", _nudged(np.tan, ulps))
+    monkeypatch.setattr(np, "tanh", _nudged(np.tanh, ulps))
+    _assert_bitwise_oracle(_NUDGED_CFGS, 40)
+
+
+@pytest.mark.parametrize("ulps", [4, -4])
+def test_mismatch_signs_next_to_each_root_are_libm_signs(monkeypatch, ulps):
+    """Next to a root the nudged SIMD mismatch can take the wrong sign (at
+    U 7071, d/L 1e-4 the float nearest doublet 1's symmetric root has
+    |f| = 0.45 eps of its terms' size), and the libm re-evaluation puts
+    every sign back.  Nudging tan and tanh the same way moves both terms of
+    the mismatch the same way, so the nudges do not cancel."""
+    monkeypatch.setattr(np, "tan", _nudged(np.tan, ulps))
+    monkeypatch.setattr(np, "tanh", _nudged(np.tanh, ulps))
+    wrong = 0
+    for cfg, k in itertools.product(_NUDGED_CFGS, (1, 2, 5)):
+        w = (cfg.box_length - cfg.barrier_width) / 2.0
+        lo = (cfg.hbar * ((k - 1) * math.pi + 1e-9) / w) ** 2 / (2.0 * cfg.mass)
+        hi = (cfg.hbar * (k * math.pi - 1e-12) / w) ** 2 / (2.0 * cfg.mass)
+        for anti in (False, True):
+            def f(e, anti=anti):
+                return quantization_mismatch(e, cfg, anti)
+            a, b = lo, hi  # bisect f's sign change down to adjacent floats
+            while (mid := 0.5 * (a + b)) not in (a, b):
+                a, b = (mid, b) if (f(mid) > 0) == (f(a) > 0) else (a, mid)
+            e = a + np.arange(-64, 65) * np.spacing(a)
+            p = tuple(np.full(e.size, v) for v in (
+                2.0 * cfg.mass, cfg.hbar, cfg.barrier_height, cfg.barrier_width / 2.0, w,
+                anti))
+            libm = np.sign([f(x) for x in e.tolist()])
+            assert np.array_equal(np.sign(_pinned_mismatch(e, p)), libm)
+            wrong += np.count_nonzero(np.sign(_mismatch(e, p, np.tan, np.tanh)[0]) != libm)
+    assert wrong > 0
+
+
+def test_split_spectra_raise_each_error_at_its_turn():
+    ok, bare = finite_barrier_config(), finite_barrier_config(u=math.inf)
+    spectra = split_spectra([ok, bare, ok], n_pairs=3)
+    assert np.array_equal(next(spectra).centers, scalar_numeric_split(ok, 3)[0])
+    with pytest.raises(RegimeError, match="numeric mode needs a finite barrier"):
+        next(spectra)
+
+
+@pytest.mark.parametrize("case,first_line", [
+    ({"engine": {"barrier_height": 1e8, "barrier_width": 3e-5, "n_trunc": 3000},
+      "params": {"n_pairs": 1500}},
+     "finite-difference levels this high change sign inside the barrier edge cells; "
+     "the grid is too coarse"),
+    ({"engine": {"barrier_height": 2e6}},
+     "doublet 1 splitting 4.72e-97 is below the float resolution of its center 4.43213"),
+    ({"engine": {"barrier_height": math.inf}},
+     "numeric mode needs a finite barrier; use formula mode"),
+    ({"engine": {"barrier_height": 300.0}, "params": {"n_pairs": 16}},
+     "doublets 9..16 of the 16 requested reach past the barrier top U = 300; "
+     "lower n_pairs or raise U"),
+])
+def test_spectrum_split_errors_keep_their_step_order(case, first_line):
+    cfg = resolve_config({"scenario": "spectrum-split", **case})
+    with pytest.raises(RegimeError) as err:
+        run_scenario(cfg)
+    assert str(err.value).splitlines()[0] == first_line

@@ -490,8 +490,9 @@ _NUDGED_CFGS = [finite_barrier_config(u=u, d_over_l=d, n_trunc=80)
 @pytest.mark.parametrize("ulps", [4, -4])
 def test_split_roots_do_not_depend_on_the_last_bits_of_simd_tan_and_tanh(
         monkeypatch, ulps):
-    # numpy's tan and tanh part from libm by up to 1 and 3 ulp here; pushed
-    # 4 ulp away, every sign the bisection reads must still be libm's
+    # numpy's tan and tanh part from libm by up to 1 and 3 ulp on x86-64
+    # with AVX-512; pushed 4 ulp away, every sign the bisection reads must
+    # still be libm's
     monkeypatch.setattr(np, "tan", _nudged(np.tan, ulps))
     monkeypatch.setattr(np, "tanh", _nudged(np.tanh, ulps))
     _assert_bitwise_oracle(_NUDGED_CFGS, 40)

@@ -6,6 +6,13 @@ scenario data payloads.  Rendering is deterministic: the same values
 always produce the same bytes, so reports are diffable and hashable apart
 from the wall-time field.  Floats are emitted as shortest round-trip
 decimals, which carry the full precision of the value.
+
+render_json writes the bytes of json.dumps(..., indent=2) without the
+stdlib's per-call closures.  Each CheckRecord is filled into one %
+template at its fixed depth, plain float, str, bool, int and None values
+are told apart by exact type before the isinstance chain (subclasses such
+as np.float64 take the chain), and a list of plain floats whose sum is
+finite is written in one join of float.__repr__.
 """
 
 from __future__ import annotations
@@ -13,8 +20,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import attrgetter
 
 __all__ = ["CheckRecord", "DataTable", "RunReport", "render_json", "render_csv"]
 
@@ -102,12 +110,16 @@ class RunReport:
             self.data[prefix]["table"] = other.table.to_dict()
 
     def to_dict(self) -> dict:
+        return self._document([c.to_dict() for c in self.checks])
+
+    def _document(self, checks) -> dict:
+        """The report's JSON document, with checks as its checks value."""
         out = {
             "scenario": self.scenario,
             "version": self.version,
             "passed": self.passed,
             "config": self.config,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": checks,
             "data": self.data,
         }
         if self.table is not None:
@@ -126,16 +138,54 @@ def _json_float(x: float) -> str:
     return float.__repr__(x)
 
 
+# JSON text of a plain float, str, bool, int or None by exact type;
+# subclasses such as np.float64 take _emit's isinstance chain
+_SCALAR = {
+    float: _json_float,
+    str: _json_str,
+    bool: {True: "true", False: "false"}.__getitem__,
+    int: int.__repr__,
+    type(None): lambda _: "null",
+}
+
+
+class _Json(str):
+    """JSON text rendered ahead, which _emit writes as it is."""
+
+
+# the report's checks list sits one level deep, so each CheckRecord's
+# fields sit three levels deep
+_CHECK = ("{" + ",".join(f"\n      {_json_str(f.name)}: %s" for f in fields(CheckRecord))
+          + "\n    }")
+_check_fields = attrgetter(*(f.name for f in fields(CheckRecord)))
+
+
+def _check_field(value) -> str:
+    """JSON text of a CheckRecord field, three levels deep."""
+    scalar = _SCALAR.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    out: list[str] = []
+    _emit(value, 3, out)
+    return "".join(out)
+
+
+def _checks_json(checks: list[CheckRecord]) -> _Json:
+    if not checks:
+        return _Json("[]")
+    return _Json("[\n    " + ",\n    ".join(
+        _CHECK % tuple(map(_check_field, _check_fields(c))) for c in checks) + "\n  ]")
+
+
 def _emit(value, depth: int, out: list) -> None:
     """Append the JSON text of value, nested depth levels deep, to out."""
-    if isinstance(value, str):
+    scalar = _SCALAR.get(type(value))
+    if scalar is not None:
+        out.append(scalar(value))
+    elif type(value) is _Json:
+        out.append(value)
+    elif isinstance(value, str):
         out.append(_json_str(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
     elif isinstance(value, float):
@@ -145,6 +195,12 @@ def _emit(value, depth: int, out: list) -> None:
             out.append("[]")
             return
         inner = "\n" + "  " * (depth + 1)
+        if {*map(type, value)} == {float} and math.isfinite(sum(value)):
+            # finite plain floats: a NaN or inf item, or a sum that
+            # overflows, takes the item-by-item path
+            out.append("[" + inner + ("," + inner).join(map(float.__repr__, value))
+                       + "\n" + "  " * depth + "]")
+            return
         sep = "[" + inner
         for item in value:
             out.append(sep)
@@ -176,7 +232,7 @@ def render_json(report: RunReport) -> str:
     every indented call, which leaves a reference cycle for the collector;
     this emitter leaves none."""
     out: list[str] = []
-    _emit(report.to_dict(), 0, out)
+    _emit(report._document(_checks_json(report.checks)), 0, out)
     out.append("\n")
     return "".join(out)
 

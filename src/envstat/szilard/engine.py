@@ -49,21 +49,29 @@ class EngineState:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
             raise InvalidStateError("engine state needs a nonempty 1-d weight vector")
-        if not np.all(np.isfinite(w)):
+        # one sum decides finiteness and the trace: a finite sum has finite
+        # terms, and finite terms whose sum overflows fail the trace check
+        tr = float(w.sum())
+        if not math.isfinite(tr) and not np.isfinite(w).all():
             raise InvalidStateError("engine state weights must be finite (no NaN/Inf)")
         object.__setattr__(self, "weights", _freeze(w))
-        if self.coherences is not None:
-            c = np.asarray(self.coherences, dtype=np.float64)
+        c = self.coherences
+        if c is not None:
+            c = np.asarray(c, dtype=np.float64)
             if c.shape != (w.size // 2,):
                 raise DimensionMismatchError(
                     f"need one coherence per doublet block ({w.size // 2}), got {c.shape}")
-            if not np.all(np.isfinite(c)):
+            if not math.isfinite(c.sum()) and not np.isfinite(c).all():
                 raise InvalidStateError("engine state coherences must be finite (no NaN/Inf)")
             object.__setattr__(self, "coherences", _freeze(c))
-        tr = float(np.sum(w))
         if abs(tr - 1.0) > DECOMPOSITION:
             raise InvalidStateError(f"engine state trace {tr} is not 1")
-        lo = float(np.min(self._block_eigenvalues()))
+        if c is None:
+            lo = float(w.min())
+        else:
+            centre, radius = self._blocks()
+            # the unpaired top level of an odd dimension is its own block
+            lo = float(np.min(centre - radius, initial=w[-1] if w.size % 2 else math.inf))
         if lo < -DECOMPOSITION:
             raise InvalidStateError(f"engine state has eigenvalue {lo} < 0")
 
@@ -71,21 +79,22 @@ class EngineState:
     def dim(self) -> int:
         return self.weights.shape[0]
 
-    def _block_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues block by block: a 2x2 block [[a, c], [c, b]] has
-        (a + b)/2 -+ hypot((a - b)/2, c); a thermal L/R block gives w(ch -+ sh)."""
+    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Centre (a + b)/2 and radius hypot((a - b)/2, c) of each 2x2 block
+        [[a, c], [c, b]], whose eigenvalues are centre -+ radius; a thermal
+        L/R block gives w(ch -+ sh)."""
         w, c = self.weights, self.coherences
-        if c is None:
-            return w
         m = c.size
         a, b = w[0:2 * m:2], w[1:2 * m:2]
-        mean = 0.5 * (a + b)
-        rad = np.hypot(0.5 * (a - b), c)
-        return np.concatenate((mean - rad, mean + rad, w[2 * m:]))
+        return 0.5 * (a + b), np.hypot(0.5 * (a - b), c)
 
     def eigenvalues(self) -> np.ndarray:
         """Real eigenvalues, ascending."""
-        return np.sort(self._block_eigenvalues())
+        w, c = self.weights, self.coherences
+        if c is None:
+            return np.sort(w)
+        centre, radius = self._blocks()
+        return np.sort(np.concatenate((centre - radius, centre + radius, w[2 * c.size:])))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -110,7 +119,7 @@ def thermal_state(spec: BoxSpectrum, temperature: float,
     """
     beta = 1.0 / (kb * temperature)
     weights = np.exp(-beta * spec.energies)
-    z = float(np.sum(weights))
+    z = float(weights.sum())
     if z == 0.0:
         raise RegimeError(
             f"partition sum underflows to 0 at beta*E_1 = {beta * spec.epsilon:.4g}; "
@@ -131,7 +140,7 @@ def z_boltzmann_gas(eps_beta: float) -> float:
 def split_partition_function(split: SplitSpectrum, beta: float) -> float:
     """Z of the doublet spectrum: sum over 2 exp(-beta E_k) cosh(beta Delta_k)."""
     e, d = split.centers, split.deltas
-    z = float(np.sum(2.0 * np.exp(-beta * e) * np.cosh(beta * d)))
+    z = float((2.0 * np.exp(-beta * e) * np.cosh(beta * d)).sum())
     if z == 0.0 and split.count:
         raise RegimeError(
             f"split partition sum underflows to 0 at beta*E_1 = {beta * e[0]:.4g}; "
@@ -154,8 +163,14 @@ def barrier_thermal_state(split: SplitSpectrum, temperature: float,
     e, d = split.centers, split.deltas
     z = split_partition_function(split, beta)
     w = _libm(math.exp, -beta * e) / z
-    ch = w * _libm(math.cosh, beta * d)
-    return EngineState(np.repeat(ch, 2), w * _libm(math.sinh, beta * d)), z
+    x = beta * d
+    if x.any():
+        ch, sh = _libm(math.cosh, x), _libm(math.sinh, x)
+    else:
+        # every splitting is 0 (an infinite barrier): cosh(+-0) = 1 and
+        # sinh(+-0) = +-0 exactly, so the libm passes would return 1 and x
+        ch, sh = 1.0, x
+    return EngineState(np.repeat(w * ch, 2), w * sh), z
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +201,7 @@ def measure_side(rho: EngineState) -> tuple[MeasurementOutcome, MeasurementOutco
         raise DimensionMismatchError("L/R block layout needs an even dimension")
 
     def project(side_levels: slice, side: str) -> MeasurementOutcome:
-        p = float(np.sum(rho.weights[side_levels]))
+        p = float(rho.weights[side_levels].sum())
         if p < 1e-15:
             return MeasurementOutcome(side, p, None)
         post = np.zeros(dim)

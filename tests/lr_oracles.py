@@ -1,13 +1,15 @@
 """Oracles for the engine tests: the scalar quantization solve, doublet
 eigenfunctions on a grid, the split box's Gibbs state in the energy basis,
-and the block rotation between the energy and the left/right bases."""
+the block rotation between the energy and the left/right bases, and the
+check-by-check validation of EngineState and SplitSpectrum."""
 
 import math
 
 import numpy as np
 
-from envstat.errors import BracketingError, RegimeError
+from envstat.errors import BracketingError, DimensionMismatchError, InvalidStateError, RegimeError
 from envstat.szilard import EngineConfig, EngineState, SplitSpectrum, split_partition_function
+from envstat.tolerances import DECOMPOSITION
 
 
 def quantization_mismatch(energy: float, cfg: EngineConfig, antisymmetric: bool) -> float:
@@ -156,3 +158,54 @@ def energy_basis_state(split: SplitSpectrum, temperature: float,
     diag[0::2] = np.exp(-beta * (e + d))  # psi+ slots
     diag[1::2] = np.exp(-beta * (e - d))  # psi- slots
     return EngineState(diag / split_partition_function(split, beta))
+
+
+def validate_engine_state(weights, coherences=None) -> None:
+    """Raise what EngineState(weights, coherences) raises, one check at a
+    time with a full pass over the entries for each: the validator's form
+    before it decided each property from one aggregate."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 1 or w.size == 0:
+        raise InvalidStateError("engine state needs a nonempty 1-d weight vector")
+    if not np.all(np.isfinite(w)):
+        raise InvalidStateError("engine state weights must be finite (no NaN/Inf)")
+    if coherences is not None:
+        c = np.asarray(coherences, dtype=np.float64)
+        if c.shape != (w.size // 2,):
+            raise DimensionMismatchError(
+                f"need one coherence per doublet block ({w.size // 2}), got {c.shape}")
+        if not np.all(np.isfinite(c)):
+            raise InvalidStateError("engine state coherences must be finite (no NaN/Inf)")
+    tr = float(np.sum(w))
+    if abs(tr - 1.0) > DECOMPOSITION:
+        raise InvalidStateError(f"engine state trace {tr} is not 1")
+    if coherences is None:
+        eigenvalues = w
+    else:
+        m = c.size
+        a, b = w[0:2 * m:2], w[1:2 * m:2]
+        mean = 0.5 * (a + b)
+        rad = np.hypot(0.5 * (a - b), c)
+        eigenvalues = np.concatenate((mean - rad, mean + rad, w[2 * m:]))
+    lo = float(np.min(eigenvalues))
+    if lo < -DECOMPOSITION:
+        raise InvalidStateError(f"engine state has eigenvalue {lo} < 0")
+
+
+def validate_split_spectrum(k, centers, deltas) -> None:
+    """Raise what SplitSpectrum(..., k, centers, deltas, ...) raises, with
+    the negative and merged tests evaluated doublet by doublet always."""
+    k = np.asarray(k, dtype=np.int64)
+    c = np.asarray(centers, dtype=np.float64)
+    d = np.asarray(deltas, dtype=np.float64)
+    if not k.ndim == c.ndim == d.ndim == 1 or not k.size == c.size == d.size:
+        raise ValueError("k, centers and deltas must be 1-d and of equal length")
+    negative = d < 0
+    if np.any(negative):
+        raise ValueError(f"doublet {k[negative][0]} has negative splitting")
+    merged = (d > 0) & (c - d >= c + d)
+    if np.any(merged):
+        j = np.flatnonzero(merged)[0]
+        raise RegimeError(
+            f"doublet {k[j]} splitting {d[j]:.3g} is below the float "
+            f"resolution of its center {c[j]:.6g}")

@@ -521,11 +521,14 @@ def test_spectrum_split_passes_when_high_barriers_close_every_gap(capsys, tmp_pa
     {"barrier_height": 1e8},
     {"barrier_height": 1e5, "barrier_width": 0.03 * math.pi},
     {"barrier_height": 1e6, "barrier_width": 0.01 * math.pi},
+    {"barrier_height": 1e20, "barrier_width": 0.001 * math.pi},
+    {"barrier_height": 1e21, "barrier_width": 0.001 * math.pi},
 ])
 def test_spectrum_split_with_a_closed_doublet_at_u_fails_closed(capsys, tmp_path, engine):
     # doublet 1's numeric splitting at U itself is 0, so the table has no
     # ratio of the formula to it (at --U 1e4 only 4U and 8U close, and the
-    # run passes)
+    # run passes); at U 1e20 and 1e21 the FD oracle, solved before, must
+    # not mistake the hard wall's rounding for a level past the barrier top
     cfg = tmp_path / "split.json"
     cfg.write_text(json.dumps({"engine": engine}))
     out_path = tmp_path / "never.json"

@@ -4,11 +4,12 @@ import gc
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from envstat.report import RunReport, render_json
+from envstat.report import CheckRecord, RunReport, render_json
 from envstat.scenarios import SCENARIOS, resolve_config, run_scenario
 
 
@@ -32,6 +33,7 @@ scalars = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from(SPECIAL_FLOATS),
     st.text(alphabet=st.characters(exclude_categories=())),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
 )
 
 values = st.recursive(
@@ -48,6 +50,42 @@ values = st.recursive(
 @given(config=st.dictionaries(st.text(), values, max_size=4), value=values)
 def test_render_json_matches_stdlib_on_arbitrary_values(config, value):
     report = RunReport("property", config, data={"value": value}, wall_time_s=-0.0)
+    assert render_json(report) == stdlib_json(report)
+
+
+any_text = st.text(alphabet=st.characters(exclude_categories=()))
+names = st.one_of(any_text, st.sampled_from(['say "x"', "back\\slash", "ünïcødé ✓ 中"]))
+records = st.builds(CheckRecord, names, scalars, scalars, scalars, st.booleans(), names, names)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(checks=st.lists(records, max_size=5), prefix=st.none() | names)
+@example(checks=[], prefix=None)
+def test_render_json_matches_stdlib_on_arbitrary_checks(checks, prefix):
+    report = RunReport("property", {}, checks=checks)
+    if prefix is not None:  # full-suite's prefixed names
+        suite = RunReport("suite", {})
+        suite.merge(report, prefix)
+        report = suite
+    assert render_json(report) == stdlib_json(report)
+
+
+float_items = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(1e307, 1.7976931348623157e308),
+    st.floats(-1.7976931348623157e308, -1e307),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(float_items, max_size=8))
+@example([1e308, 1e308])  # finite items whose sum overflows
+@example([0.5, math.nan])
+@example([-math.inf, 1.0])
+@example([np.float64(0.1), 0.2])
+def test_render_json_matches_stdlib_on_float_lists(items):
+    report = RunReport("floats", {"items": items},
+                       data={"list": items, "tuple": tuple(items), "nested": [items, {"x": items}]})
     assert render_json(report) == stdlib_json(report)
 
 

@@ -5,7 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import envstat.szilard.engine as engine_module
 from envstat.errors import (
     DimensionMismatchError,
     InvalidStateError,
@@ -29,7 +32,8 @@ from envstat.szilard import (
     thermal_state,
     z_boltzmann_gas,
 )
-from lr_oracles import energy_basis_state, lr_block_map
+from envstat.szilard.spectrum import _libm
+from lr_oracles import energy_basis_state, lr_block_map, validate_engine_state
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +139,42 @@ def test_barrier_state_returns_its_partition_sum(eps_beta, barrier):
     rho, z = barrier_thermal_state(split, cfg.temperature, cfg.kb)
     assert z == split_partition_function(split, cfg.beta)
     assert rho.dim == 2 * split.count
+
+
+def libm_barrier_state(split, temperature):
+    """barrier_thermal_state's weights and coherences with cosh and sinh
+    always taken from libm, element by element."""
+    beta = 1.0 / temperature
+    w = np.array([math.exp(-beta * e) for e in split.centers.tolist()])
+    w = w / split_partition_function(split, beta)
+    x = (beta * split.deltas).tolist()
+    return (np.repeat(w * np.array([math.cosh(v) for v in x]), 2),
+            w * np.array([math.sinh(v) for v in x]))
+
+
+@pytest.mark.parametrize("eps_beta,barrier,libm_passes", [
+    (1e-3, math.inf, ["exp"]),
+    (1e-4, math.inf, ["exp"]),
+    (1e-3, 2000.0, ["exp", "cosh", "sinh"])])
+def test_zero_splittings_skip_the_libm_passes_bitwise(monkeypatch, eps_beta, barrier,
+                                                      libm_passes):
+    cfg = EngineConfig.natural(eps_beta=eps_beta, barrier_height=barrier)
+    split = split_spectrum(cfg, "formula")
+    passes = []
+
+    def recording_libm(fn, x):
+        passes.append(fn.__name__)
+        return _libm(fn, x)
+
+    monkeypatch.setattr(engine_module, "_libm", recording_libm)
+    rho, _ = barrier_thermal_state(split, cfg.temperature)
+    assert passes == libm_passes
+    weights, coherences = libm_barrier_state(split, cfg.temperature)
+    assert np.array_equal(rho.weights, weights)
+    assert np.array_equal(rho.coherences, coherences)
+    assert np.array_equal(np.signbit(rho.coherences), np.signbit(coherences))
+    if math.isinf(barrier):
+        assert not np.any(rho.coherences) and not np.any(np.signbit(rho.coherences))
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +316,90 @@ def test_engine_state_block_eigenvalues_closed_form():
     rho = EngineState(np.array([0.3, 0.3, 0.4]), np.array([0.1]))
     assert np.allclose(rho.eigenvalues(), [0.2, 0.4, 0.4], atol=1e-15)
     assert np.allclose(np.linalg.eigvalsh(rho.matrix), rho.eigenvalues(), atol=1e-15)
+
+
+def raised(build):
+    """(exception class, message) of what build() raises, or None."""
+    try:
+        build()
+    except Exception as exc:  # the class itself is what gets compared
+        return type(exc), str(exc)
+    return None
+
+
+JUNK = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(1e307, 1.7976931348623157e308),  # finite, but a few overflow a sum
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))
+
+
+@st.composite
+def engine_state_inputs(draw):
+    """Weights and coherences from junk of any shape to states on either
+    side of the trace and eigenvalue thresholds."""
+    if draw(st.booleans()):
+        shape = draw(st.sampled_from([(), (0,), (1,), (2,), (3,), (4,), (6,), (2, 2)]))
+        w = np.array(draw(st.lists(JUNK | st.floats(-1.0, 1.0), min_size=math.prod(shape),
+                                   max_size=math.prod(shape)))).reshape(shape)
+        m = draw(st.sampled_from([w.size // 2, 0, 1, 4]))
+        c = np.array(draw(st.lists(JUNK | st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+    else:
+        n = draw(st.integers(1, 7))
+        p = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+        w = p / p.sum()
+        # move weight from the last level to the first, then miss the trace
+        shift = draw(st.sampled_from([0.0, 0.0, 0.5, 1.5]))
+        w[0] += shift
+        w[-1] -= shift
+        w[0] += draw(st.sampled_from([0.0, 0.0, 5e-11, -5e-11, 2e-10, -2e-10, 1e-3]))
+        # a coherence past sqrt(ab) gives its block a negative eigenvalue
+        m = n // 2
+        ratio = np.array(draw(st.lists(st.floats(-1.5, 1.5), min_size=m, max_size=m)))
+        c = ratio * np.sqrt(np.abs(w[0:2 * m:2] * w[1:2 * m:2]))
+    for target in (w, c):
+        if target.ndim == 1 and target.size and draw(st.booleans()):
+            target[draw(st.integers(0, target.size - 1))] = draw(JUNK)
+    return w, c if draw(st.integers(0, 3)) else None
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(engine_state_inputs())
+@example((np.array([np.nan, 1.0]), None))
+@example((np.array([0.5, 0.5]), np.array([np.inf])))
+@example((np.array([1e308, 1e308]), None))  # finite entries, the sum overflows
+@example((np.array([0.5, 0.5, 0.0, 0.0]), np.array([1e308, 1e308])))
+@example((np.array([np.nan, 1.0]), np.array([0.1, 0.1])))  # NaN before the shape
+@example((np.array([0.5, 0.5]), np.array([np.nan, np.nan])))  # shape before the NaN
+@example((np.array([1e308, 1e308]), np.array([0.1, 0.1])))  # shape before the trace
+@example((np.array([[0.5, 0.5]]), None))
+@example((np.array([]), None))
+@example((np.array([0.5, 0.4]), None))
+@example((np.array([0.5, 0.5]), np.array([0.6])))
+@example((np.array([0.6, 0.6, -0.2]), np.array([0.1])))  # the unpaired level
+def test_engine_state_validation_matches_the_sequential_checks(inputs):
+    w, c = inputs
+
+    def fresh():  # EngineState freezes the arrays it is given
+        return w.copy(), None if c is None else c.copy()
+
+    # junk may overflow a sum; warnings are not what is compared here
+    with np.errstate(all="ignore"):
+        expected = raised(lambda: validate_engine_state(*fresh()))
+        assert raised(lambda: EngineState(*fresh())) == expected
+
+
+def test_engine_state_rejects_the_eigenvalue_the_sequential_checks_let_through():
+    # block 1 is [[-M, 1.99 M], [1.99 M, -1.5 M]]: its centre overflows to
+    # -inf and its radius to inf, so its lower eigenvalue is -inf and its
+    # upper one NaN; the sequential checks took the NaN-propagating minimum
+    # over both and accepted the state at trace 1
+    big = 2.0**1023
+    w = np.array([big, 0.0, -big, -1.5 * big, 1.5 * big, 0.0, 1.0])
+    c = np.array([0.0, 1.99 * big, 0.0])
+    with np.errstate(all="ignore"):
+        assert validate_engine_state(w.copy(), c.copy()) is None
+        with pytest.raises(InvalidStateError, match="eigenvalue -inf < 0"):
+            EngineState(w, c)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import re
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
@@ -28,6 +28,7 @@ from lr_oracles import (
     pair_wavefunctions,
     quantization_mismatch,
     scalar_numeric_split,
+    validate_split_spectrum,
 )
 
 
@@ -159,6 +160,48 @@ def test_split_spectrum_validation():
         SplitSpectrum(1.0, [1], [4.0], [-0.1], "numeric")
 
 
+SPLIT_CENTERS = st.one_of(st.floats(1.0, 1e6), st.sampled_from([1e20, 1e300, math.inf, math.nan]))
+SPLIT_DELTAS = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.sampled_from([0.0, 0.0, -0.0, 5e-324, 1e-20, 1.0, -1e-300, math.nan, math.inf]))
+
+
+@st.composite
+def split_spectrum_inputs(draw):
+    n = draw(st.integers(0, 5))
+    centers = draw(st.lists(SPLIT_CENTERS, min_size=n, max_size=n))
+    deltas = draw(st.lists(SPLIT_DELTAS, min_size=n, max_size=n))
+    odd = draw(st.integers(0, 9))
+    if odd == 0:
+        deltas.append(0.0)  # one too many
+    elif odd == 1:
+        deltas = [deltas]  # 2-d
+    return centers, deltas
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(split_spectrum_inputs())
+@example(([4.0, 16.0], [math.nan, -1.0]))  # NaN before a negative splitting
+@example(([4.0, 1e20], [math.nan, 1.0]))  # NaN before a merged doublet
+@example(([4.0, 16.0, 36.0], [0.0, -0.0, 0.0]))
+@example(([], []))
+def test_split_spectrum_validation_matches_the_sequential_checks(inputs):
+    centers, deltas = inputs
+    k = np.arange(1, len(centers) + 1)
+
+    def raised(build):
+        try:
+            build()
+        except (ValueError, EnvstatError) as exc:
+            return type(exc), str(exc)
+        return None
+
+    # inf - inf warns in both; warnings are not what is compared here
+    with np.errstate(all="ignore"):
+        expected = raised(lambda: validate_split_spectrum(k, centers, deltas))
+        assert raised(lambda: SplitSpectrum(1.0, k, centers, deltas, "numeric")) == expected
+
+
 # ---------------------------------------------------------------------------
 # finite-difference oracle
 # ---------------------------------------------------------------------------
@@ -285,6 +328,15 @@ def test_fd_levels_past_the_barrier_top_fail_closed():
                        "sector reaches past the barrier top U = 50"):
         fd_pair_energies(finite_barrier_config(u=50.0), 5)
     assert fd_pair_energies(finite_barrier_config(u=50.0), 3).shape == (6,)
+
+
+@pytest.mark.parametrize("u", [1e20, 1e21])
+def test_fd_levels_behind_a_wall_sit_at_their_free_well_bracket_top(u):
+    # the barrier decouples the wells, so each level's wall phase at the top
+    # of its free-well bracket is k pi, which rounding leaves up to 2 ulp
+    # short; both sectors return that bracket top instead of failing
+    levels = _fd_eigenvalues(finite_barrier_config(u=u, d_over_l=0.001), (9999, 4999), 5)
+    assert np.array_equal(levels[:, 0::2], levels[:, 1::2])
 
 
 def test_fd_levels_the_phase_picture_cannot_reach_fail_closed():

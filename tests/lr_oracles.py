@@ -160,6 +160,16 @@ def energy_basis_state(split: SplitSpectrum, temperature: float,
     return EngineState(diag / split_partition_function(split, beta))
 
 
+def raised(build):
+    """(exception class, message) of what build() raises, or None: what a
+    validator and its sequential oracle are compared on."""
+    try:
+        build()
+    except Exception as exc:  # the class itself is what gets compared
+        return type(exc), str(exc)
+    return None
+
+
 def validate_engine_state(weights, coherences=None) -> None:
     """Raise what EngineState(weights, coherences) raises, one check at a
     time with a full pass over the entries for each: the validator's form

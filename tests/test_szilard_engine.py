@@ -33,7 +33,7 @@ from envstat.szilard import (
     z_boltzmann_gas,
 )
 from envstat.szilard.spectrum import _libm
-from lr_oracles import energy_basis_state, lr_block_map, validate_engine_state
+from lr_oracles import energy_basis_state, lr_block_map, raised, validate_engine_state
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +316,6 @@ def test_engine_state_block_eigenvalues_closed_form():
     rho = EngineState(np.array([0.3, 0.3, 0.4]), np.array([0.1]))
     assert np.allclose(rho.eigenvalues(), [0.2, 0.4, 0.4], atol=1e-15)
     assert np.allclose(np.linalg.eigvalsh(rho.matrix), rho.eigenvalues(), atol=1e-15)
-
-
-def raised(build):
-    """(exception class, message) of what build() raises, or None."""
-    try:
-        build()
-    except Exception as exc:  # the class itself is what gets compared
-        return type(exc), str(exc)
-    return None
 
 
 JUNK = st.one_of(

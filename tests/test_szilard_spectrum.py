@@ -27,6 +27,7 @@ from lr_oracles import (
     lr_block_map,
     pair_wavefunctions,
     quantization_mismatch,
+    raised,
     scalar_numeric_split,
     validate_split_spectrum,
 )
@@ -188,14 +189,6 @@ def split_spectrum_inputs(draw):
 def test_split_spectrum_validation_matches_the_sequential_checks(inputs):
     centers, deltas = inputs
     k = np.arange(1, len(centers) + 1)
-
-    def raised(build):
-        try:
-            build()
-        except (ValueError, EnvstatError) as exc:
-            return type(exc), str(exc)
-        return None
-
     # inf - inf warns in both; warnings are not what is compared here
     with np.errstate(all="ignore"):
         expected = raised(lambda: validate_split_spectrum(k, centers, deltas))

@@ -35,6 +35,7 @@ from .szilard import (
     thermal_state,
     z_boltzmann_gas,
 )
+from .szilard.config import _LEVEL_BUDGET
 
 __all__ = ["SCENARIOS", "ScenarioConfig", "config_section", "resolve_config",
            "run_scenario"]
@@ -75,7 +76,7 @@ _PARAM_MAX = {
     "nu": env.MAX_BRANCHES - 1,  # likewise, with mu >= 1
     "max_rank": 64,              # every rank up to it is swept, n_unitaries times
     "n_unitaries": 1000,         # Haar draws per rank, at most 64 000 in a sweep
-    "n_pairs": 2048,             # two levels per doublet fill the 4096-level budget
+    "n_pairs": _LEVEL_BUDGET // 2,  # two levels per doublet fill the level budget
     "samples": 10_000_000,       # one float per sample, 80 MB at the bound
 }
 

@@ -87,11 +87,6 @@ class EngineConfig:
         """Level unit after the barrier narrows the box: eps * L^2/(L-d)^2."""
         return self.epsilon * self.box_length**2 / (self.box_length - self.barrier_width) ** 2
 
-    @property
-    def high_barrier(self) -> bool:
-        """Whether U*beta >= 20, the regime measurements assume."""
-        return self.barrier_height * self.beta >= 20.0
-
     def _auto_trunc(self) -> int:
         eb = self.eps_beta
         tail = math.ceil(math.sqrt(math.log(1e12) / eb)) + 2

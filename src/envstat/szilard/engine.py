@@ -72,7 +72,7 @@ class EngineState:
             centre, radius = self._blocks()
             # the unpaired top level of an odd dimension is its own block
             lo = float(np.min(centre - radius, initial=w[-1] if w.size % 2 else math.inf))
-        if lo < -DECOMPOSITION:
+        if not lo >= -DECOMPOSITION:  # also rejects NaN
             raise InvalidStateError(f"engine state has eigenvalue {lo} < 0")
 
     @property

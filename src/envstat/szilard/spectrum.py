@@ -273,9 +273,10 @@ def split_spectra(cfgs: Iterable[EngineConfig], n_pairs: int) -> Iterator[SplitS
             if unbracketed[start + j]:
                 raise BracketingError(
                     f"no sign change for doublet {j // 2 + 1} "
-                    f"({'anti' if j % 2 else 'sym'}) in window "
-                    f"[{win[j // 2, 0]:.6g}, {win[j // 2, 1]:.6g}]")
-            raise BracketingError(f"bisection did not converge in {_MAXITER} steps")
+                    f"({'anti' if j % 2 else 'sym'}) at U = {cfg.barrier_height:g} "
+                    f"in window [{win[j // 2, 0]:.6g}, {win[j // 2, 1]:.6g}]")
+            raise BracketingError(f"bisection at U = {cfg.barrier_height:g} did not "
+                                  f"converge in {_MAXITER} steps")
         e_sym, e_anti = roots[start:start + 2 * retained].reshape(retained, 2).T
         yield SplitSpectrum(cfg.epsilon_prime, np.arange(1, retained + 1),
                             (e_anti + e_sym) / 2.0, (e_anti - e_sym) / 2.0, "numeric",

@@ -81,9 +81,13 @@ def scalar_numeric_split(cfg: EngineConfig, n_pairs: int):
                 continue
             if np.sign(fa) == np.sign(fb):
                 raise BracketingError(
-                    f"no sign change for doublet {k} "
-                    f"({'anti' if anti else 'sym'}) in window [{lo:.6g}, {hi:.6g}]")
-            roots.append(bisect(f, lo, hi, fa, fb, xtol=1e-14, rtol=1e-12))
+                    f"no sign change for doublet {k} ({'anti' if anti else 'sym'}) "
+                    f"at U = {cfg.barrier_height:g} in window [{lo:.6g}, {hi:.6g}]")
+            try:
+                roots.append(bisect(f, lo, hi, fa, fb, xtol=1e-14, rtol=1e-12))
+            except BracketingError:
+                raise BracketingError(f"bisection at U = {cfg.barrier_height:g} did "
+                                      "not converge in 100 steps") from None
         retained = k
     pair_roots = np.array(roots).reshape(retained, 2)
     e_sym, e_anti = pair_roots[:, 0], pair_roots[:, 1]

@@ -538,3 +538,15 @@ def test_spectrum_split_with_a_closed_doublet_at_u_fails_closed(capsys, tmp_path
     assert err == (f"error: doublet 1 splitting at U = {engine['barrier_height']:g} is 0, "
                    "below the 1e-12 relative resolution of its roots; lower U or d\n")
     assert not out_path.exists()
+
+
+def test_spectrum_split_names_the_barrier_whose_solve_fails(capsys, tmp_path):
+    # at U = 1e24 the U, 2U and 4U solves pass and the 8U one finds no sign
+    # change in doublet 1's window; the one line names that barrier
+    out_path = tmp_path / "never.json"
+    code, out, err = run_cli(["spectrum-split", "--U", "1e24", "--out", str(out_path)],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert err.startswith("error: no sign change for doublet 1 (sym) at U = 8e+24 ")
+    assert not out_path.exists()

@@ -393,6 +393,18 @@ def test_engine_state_rejects_the_eigenvalue_the_sequential_checks_let_through()
             EngineState(w, c)
 
 
+def test_engine_state_rejects_a_nan_lowest_eigenvalue():
+    # block 1 is [[M, 1.99 M], [1.99 M, 1.5 M]]: its centre and radius both
+    # overflow to inf, so its lower eigenvalue is inf - inf = NaN, which the
+    # minimum propagates past blocks 0 and 2 (eigenvalues -M and -1.5 M)
+    big = 2.0**1023
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.array([-big, 0.0, big, 1.5 * big, -1.5 * big, 0.0, 1.0])
+        c = np.array([0.0, 1.99 * big, 0.0])
+        with pytest.raises(InvalidStateError, match="eigenvalue nan < 0"):
+            EngineState(w, c)
+
+
 # ---------------------------------------------------------------------------
 # quantum cycle ledger
 # ---------------------------------------------------------------------------

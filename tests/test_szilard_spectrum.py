@@ -71,12 +71,6 @@ def test_thin_barrier_enforced():
         EngineConfig.natural(d_over_l=0.10)
 
 
-def test_high_barrier_flag():
-    assert finite_barrier_config(u=1200.0).high_barrier
-    assert not EngineConfig.natural(eps_beta=1e-3, barrier_height=1.0).high_barrier
-    assert EngineConfig.natural().high_barrier  # infinite barrier
-
-
 # ---------------------------------------------------------------------------
 # split spectrum
 # ---------------------------------------------------------------------------
